@@ -33,21 +33,34 @@ def test_eval_json_golden(capsys):
     assert out == GOLDEN.joinpath("eval_c4.json").read_text()
 
 
-def test_classify_json_golden(capsys):
-    rc, out = run_capture(
-        capsys, ["classify", "--fn", "c:4", "--window", "32", "--json", "--no-timing"]
-    )
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("classify_c4.json", ["--fn", "c:4", "--window", "32", "--json"]),
+        ("classify_c4.tsv", ["--fn", "c:4", "--window", "32"]),
+        # the only golden with a u-variable factorization table
+        ("classify_tensor.json", ["--fn", "tensor(c:4,phi)", "--window", "8", "--json"]),
+    ],
+    ids=["c4-json", "c4-tsv", "tensor-json"],
+)
+def test_classify_json_golden(capsys, golden, argv):
+    rc, out = run_capture(capsys, ["classify", *argv, "--no-timing"])
     assert rc == 0
-    assert out == GOLDEN.joinpath("classify_c4.json").read_text()
+    assert out == GOLDEN.joinpath(golden).read_text()
 
 
-def test_classify_counterexample_golden(capsys):
+@pytest.mark.parametrize(
+    "golden, fmt",
+    [("classify_counterexample.json", ["--json"]), ("classify_counterexample.tsv", [])],
+    ids=["json", "tsv"],
+)
+def test_classify_counterexample_golden(capsys, golden, fmt):
     rc, out = run_capture(
         capsys,
-        ["classify", "--fn", "selberg-not-semi", "--window", "8", "--json", "--no-timing"],
+        ["classify", "--fn", "selberg-not-semi", "--window", "8", *fmt, "--no-timing"],
     )
     assert rc == 0
-    assert out == GOLDEN.joinpath("classify_counterexample.json").read_text()
+    assert out == GOLDEN.joinpath(golden).read_text()
 
 
 def test_verify_json_golden(capsys):
