@@ -1,23 +1,34 @@
 """Window classifiers for the multiplicative-function hierarchy.
 
 Each checker sweeps every instance of its defining identity that fits in a
-finite window [1, N] and returns a ClassReport. A "consistent" verdict
-means no counterexample exists up to the window; it is finite evidence,
-not a proof. A "refuted" verdict always carries a witness whose inequality
-can be re-evaluated from scratch.
+finite window and returns a ClassReport. A "consistent" verdict means no
+counterexample exists up to the window; it is finite evidence, not a proof.
+A "refuted" verdict always carries a witness that recheck_witness
+re-evaluates from scratch.
 
-Sweeps run in a fixed order (by (m*n, m) for coprime-pair laws, by (m, n)
-for the gcd-lcm law), so reports are deterministic and the stored witness
-is the least one. Checkers only read their input function, hence are safe
-to run concurrently.
+Every law is defined here, once, in LAWS, keyed by its LAW_* text: it maps
+an instance (m, n, shift) to (lhs, rhs) and says when that pair is a
+violation. The coprime-pair classes share one identity,
+c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
+quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
+the shift a. One sweep, _sweep, serves every arity from 1 to 3: points are
+ints here and tuples in multivar, whose checkers call the same sweep, and
+recheck_witness replays witnesses of either kind through the same table.
+
+Sweeps run in a fixed order (by (m*n, m) for one-variable coprime pairs,
+lexicographically for tuple pairs, by (m, n) for the gcd-lcm law), so
+reports are deterministic and the stored witness is the least one.
+Checkers only read their input function, hence are safe to run
+concurrently.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from . import numtheory as nt
 from .arith import ArithFn, Rational
@@ -38,56 +49,183 @@ LAW_UNIT = "f(1) != 0 on a function with nonzero values"
 LAW_SUPPORT = "f(n) = 0 whenever a does not divide n"
 LAW_SHIFTED = "f(a)*f(a*m*n) = f(a*m)*f(a*n)"
 LAW_REARICK = "f(m)*f(n) = f(gcd(m,n))*f(lcm(m,n))"
+LAW_MULT_U = "f(n.m) = f(n)*f(m) for componentwise products of coprime points"
+LAW_QUASI_U = "f(1)*f(n.m) = f(n)*f(m)"
+LAW_UNIT_U = "f(1,...,1) != 0 on a function with nonzero values"
+LAW_FORCED_SHIFT = "f(a) != 0 at the shift a forced by the support"
+LAW_SHIFTED_U = "f(a)*f(a.m.n) = f(a.m)*f(a.n)"
+LAW_COVER = "every zero must follow from a per-prime zero pattern"
+LAW_RATIO = "window values must equal constant * product of per-prime factors"
+
+# A point is an int in one variable and a tuple of ints in several.
+AnyPoint = Union[int, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class Witness:
-    """A concrete failed instance of a law: lhs != rhs at (m, n)."""
+    """A concrete failed instance of a law at (m, n).
 
-    m: int
-    n: int
+    m is None for LAW_RATIO, which fails at the single point n."""
+
+    m: Optional[AnyPoint]
+    n: AnyPoint
     lhs: Rational
     rhs: Rational
     law: str
-    shift: Optional[int] = None  # the a in shifted laws
+    shift: Optional[AnyPoint] = None  # the a in shifted laws
 
 
-def recheck_witness(f: ArithFn, w: Witness) -> bool:
-    """Re-evaluate the witness's law from scratch; True when the violation
-    reproduces."""
-    a = w.shift if w.shift is not None else 1
-    if w.law == LAW_MULT:
-        return f(w.m * w.n) != f(w.m) * f(w.n)
-    if w.law == LAW_QUASI:
-        return f(1) * f(w.m * w.n) != f(w.m) * f(w.n)
-    if w.law == LAW_UNIT:
-        return f(w.m) == 0 and f(w.n) != 0
-    if w.law == LAW_SUPPORT:
-        return w.n % a != 0 and f(w.n) != 0
-    if w.law == LAW_SHIFTED:
-        return f(a) * f(a * w.m * w.n) != f(a * w.m) * f(a * w.n)
-    if w.law == LAW_REARICK:
-        g = math.gcd(w.m, w.n)
-        return f(w.m) * f(w.n) != f(g) * f(math.lcm(w.m, w.n))
-    raise ValueError(f"unknown law {w.law!r}")
+def _pmul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """Componentwise product of two tuple points."""
+    return tuple(map(operator.mul, x, y))
+
+
+def _point_product(pt: AnyPoint) -> Callable:
+    return operator.mul if isinstance(pt, int) else _pmul
+
+
+def _unit(pt: AnyPoint) -> AnyPoint:
+    return 1 if isinstance(pt, int) else (1,) * len(pt)
+
+
+def _product(f, m, n, c, a, mul):
+    return c * f(mul(m, n)), f(m) * f(n)
+
+
+def _shifted(f, m, n, c, a, mul):
+    return c * f(mul(a, mul(m, n))), f(mul(a, m)) * f(mul(a, n))
+
+
+def _vanishes_first(lhs: Rational, rhs: Rational) -> bool:
+    return lhs == 0 and rhs != 0
+
+
+@dataclass(frozen=True)
+class Law:
+    """One law: evaluate(f, m, n, c, a, mul) gives (lhs, rhs) at the
+    instance (m, n) with constant c, shift a and point product mul, and
+    broken says when that pair is a violation. reason is a template over
+    the witness's m, n, a, lhs, rhs and the points derived from them."""
+
+    evaluate: Callable
+    reason: str
+    scaled: bool = False  # c = f(a), with a the shift or else the unit point; c = 1 otherwise
+    broken: Callable[[Rational, Rational], bool] = operator.ne
+
+
+LAWS: dict[str, Law] = {
+    LAW_MULT: Law(_product, "f({mn}) = {lhs} but f({m})*f({n}) = {rhs}"),
+    LAW_QUASI: Law(_product, "f(1)*f({mn}) = {lhs} but f({m})*f({n}) = {rhs}", scaled=True),
+    LAW_UNIT: Law(
+        lambda f, m, n, c, a, mul: (f(m), f(n)),
+        "f(1) = 0 although f({n}) = {rhs} != 0, so the forced constant vanishes",
+        broken=_vanishes_first,
+    ),
+    LAW_SUPPORT: Law(
+        lambda f, m, n, c, a, mul: (f(n) if n % a else 0, 0),
+        "least support point is a = {a}, yet f({n}) = {lhs} with {a} not dividing {n}",
+    ),
+    LAW_SHIFTED: Law(_shifted, "f({a})*f({amn}) = {lhs} but f({am})*f({an}) = {rhs}", scaled=True),
+    LAW_REARICK: Law(
+        lambda f, m, n, c, a, mul: (f(m) * f(n), f(math.gcd(m, n)) * f(math.lcm(m, n))),
+        "f({m})*f({n}) = {lhs} but f({gcd})*f({lcm}) = {rhs}",
+    ),
+    LAW_MULT_U: Law(_product, "f({mn}) = {lhs} but f({n})*f({m}) = {rhs}"),
+    LAW_QUASI_U: Law(_product, "f{unit}*f({mn}) = {lhs} but f({n})*f({m}) = {rhs}", scaled=True),
+    LAW_UNIT_U: Law(
+        lambda f, m, n, c, a, mul: (f(n), f(m)),
+        "f{n} = 0 although f{m} = {rhs} != 0",
+        broken=_vanishes_first,
+    ),
+    LAW_FORCED_SHIFT: Law(
+        lambda f, m, n, c, a, mul: (f(n), f(m)),
+        "hence a = {n}, but f{n} = 0",
+        broken=_vanishes_first,
+    ),
+    LAW_SHIFTED_U: Law(_shifted, "f{a}*f({amn}) = {lhs} but f({am})*f({an}) = {rhs}", scaled=True),
+}
+
+
+def _reason(w: Witness) -> str:
+    """The witness's law reason, filled in with the points it involves."""
+    mul = _point_product(w.n)
+    names = {"m": w.m, "n": w.n, "a": w.shift, "lhs": w.lhs, "rhs": w.rhs, "unit": _unit(w.n)}
+    if w.m is not None:
+        names["mn"] = mul(w.m, w.n)
+        if w.shift is not None:
+            names.update(amn=mul(w.shift, names["mn"]), am=mul(w.shift, w.m), an=mul(w.shift, w.n))
+        if isinstance(w.n, int):
+            names.update(gcd=math.gcd(w.m, w.n), lcm=math.lcm(w.m, w.n))
+    return LAWS[w.law].reason.format(**names)
+
+
+def _sweep(
+    f: Callable,
+    law: str,
+    instances: Iterable[tuple],
+    mul: Callable = operator.mul,
+    c: Rational = 1,
+    a: Optional[AnyPoint] = None,
+) -> Optional[Witness]:
+    """The first instance (m, n) at which the law fails, as a witness."""
+    spec = LAWS[law]
+    evaluate, broken = spec.evaluate, spec.broken
+    for m, n in instances:
+        lhs, rhs = evaluate(f, m, n, c, a, mul)
+        if lhs != rhs and broken(lhs, rhs):  # every law's violation has lhs != rhs
+            return Witness(m, n, lhs, rhs, law, a)
+    return None
+
+
+def recheck_witness(f: Callable, w: Witness) -> bool:
+    """Re-evaluate the witness's law from scratch, for a witness of any
+    arity; True when the violation reproduces.
+
+    The Selberg solver laws, LAW_COVER and LAW_RATIO, only replay the
+    value at w.n against the stored sides."""
+    if w.law in (LAW_COVER, LAW_RATIO):
+        return f(w.n) == w.lhs and w.lhs != w.rhs
+    spec = LAWS.get(w.law)
+    if spec is None:
+        raise ValueError(f"unknown law {w.law!r}")
+    c: Rational = 1
+    if spec.scaled:
+        c = f(w.shift if w.shift is not None else _unit(w.n))
+    return spec.broken(*spec.evaluate(f, w.m, w.n, c, w.shift, _point_product(w.n)))
 
 
 @dataclass
 class ClassReport:
-    """Outcome of one class check over one window."""
+    """Outcome of one class check over one window, in any arity.
+
+    forcing lists the support points that forced a multivariable shift;
+    selberg, factorization and system carry the factor data the one-variable
+    Selberg row, the multivariable semimultiplicative row and the
+    multivariable Selberg row extract."""
 
     klass: str
     verdict: str
     window: int
     c: Optional[Rational] = None
-    a: Optional[int] = None
+    a: Optional[AnyPoint] = None
     selberg: "Optional[SelbergFactorization]" = None
     witness: Optional[Witness] = None
     reason: str = ""
+    arity: int = 1
+    forcing: tuple = ()
+    system: "Optional[SelbergSystem]" = None
+    factorization: "Optional[MultiSelbergFactorization]" = None
 
     @property
     def consistent(self) -> bool:
         return self.verdict == CONSISTENT
+
+
+def _report(klass: str, window: int, w: Optional[Witness], **known) -> ClassReport:
+    """The report of a sweep: refuted at w, else consistent."""
+    if w is None:
+        return ClassReport(klass, CONSISTENT, window, **known)
+    return ClassReport(klass, REFUTED, window, witness=w, reason=_reason(w), **known)
 
 
 def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
@@ -99,33 +237,21 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
                 yield m, n
 
 
-def _require_window(window: int) -> None:
+def _require_window(window: int, arity: int = 1) -> None:
     if window < 1:
         raise ValueError(f"window must be a positive integer, got {window}")
+    if arity > 3:
+        raise ValueError(f"windows are capped at arity 3, got {arity}")
 
 
-def _least_support(f: ArithFn, window: int) -> Optional[int]:
-    for n in range(1, window + 1):
-        if f(n) != 0:
-            return n
-    return None
+def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
+    return next((pt for pt in points if f(pt) != 0), None)
 
 
 def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
     """Sweep f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
     _require_window(window)
-    for m, n in coprime_pairs(window):
-        lhs = f(m * n)
-        rhs = f(m) * f(n)
-        if lhs != rhs:
-            return ClassReport(
-                MULTIPLICATIVE,
-                REFUTED,
-                window,
-                witness=Witness(m, n, lhs, rhs, LAW_MULT),
-                reason=f"f({m * n}) = {lhs} but f({m})*f({n}) = {rhs}",
-            )
-    return ClassReport(MULTIPLICATIVE, CONSISTENT, window)
+    return _report(MULTIPLICATIVE, window, _sweep(f, LAW_MULT, coprime_pairs(window)))
 
 
 def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
@@ -136,65 +262,30 @@ def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
     forbids.
     """
     _require_window(window)
-    k = _least_support(f, window)
+    k = _least_support(f, range(1, window + 1))
     if k is None:
         return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
+    w = _sweep(f, LAW_UNIT, [(1, k)])
+    if w is not None:
+        return _report(QUASIMULTIPLICATIVE, window, w)
     f1 = f(1)
-    if f1 == 0:
-        return ClassReport(
-            QUASIMULTIPLICATIVE,
-            REFUTED,
-            window,
-            witness=Witness(1, k, f1, f(k), LAW_UNIT),
-            reason=f"f(1) = 0 although f({k}) = {f(k)} != 0, so the forced constant vanishes",
-        )
-    for m, n in coprime_pairs(window):
-        lhs = f1 * f(m * n)
-        rhs = f(m) * f(n)
-        if lhs != rhs:
-            return ClassReport(
-                QUASIMULTIPLICATIVE,
-                REFUTED,
-                window,
-                c=f1,
-                witness=Witness(m, n, lhs, rhs, LAW_QUASI),
-                reason=f"f(1)*f({m * n}) = {lhs} but f({m})*f({n}) = {rhs}",
-            )
-    return ClassReport(QUASIMULTIPLICATIVE, CONSISTENT, window, c=f1)
+    w = _sweep(f, LAW_QUASI, coprime_pairs(window), c=f1)
+    return _report(QUASIMULTIPLICATIVE, window, w, c=f1)
 
 
 def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     """Locate the least support point a, require the support to lie in a's
     multiples, then sweep f(a) f(amn) = f(am) f(an) over coprime m, n."""
     _require_window(window)
-    a = _least_support(f, window)
+    a = _least_support(f, range(1, window + 1))
     if a is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    for n in range(a + 1, window + 1):
-        if n % a != 0 and f(n) != 0:
-            return ClassReport(
-                SEMIMULTIPLICATIVE,
-                REFUTED,
-                window,
-                a=a,
-                witness=Witness(a, n, f(n), 0, LAW_SUPPORT, shift=a),
-                reason=f"least support point is a = {a}, yet f({n}) = {f(n)} with {a} not dividing {n}",
-            )
+    w = _sweep(f, LAW_SUPPORT, ((a, n) for n in range(a + 1, window + 1)), a=a)
+    if w is not None:
+        return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = f(a)
-    for m, n in coprime_pairs(window // a):
-        lhs = fa * f(a * m * n)
-        rhs = f(a * m) * f(a * n)
-        if lhs != rhs:
-            return ClassReport(
-                SEMIMULTIPLICATIVE,
-                REFUTED,
-                window,
-                a=a,
-                c=fa,
-                witness=Witness(m, n, lhs, rhs, LAW_SHIFTED, shift=a),
-                reason=f"f({a})*f({a * m * n}) = {lhs} but f({a * m})*f({a * n}) = {rhs}",
-            )
-    return ClassReport(SEMIMULTIPLICATIVE, CONSISTENT, window, c=fa, a=a)
+    w = _sweep(f, LAW_SHIFTED, coprime_pairs(window // a), c=fa, a=a)
+    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
 
 
 def check_rearick(f: ArithFn, window: int) -> ClassReport:
@@ -206,24 +297,10 @@ def check_rearick(f: ArithFn, window: int) -> ClassReport:
     {m, n} hold trivially and are skipped.
     """
     _require_window(window)
-    for m in range(1, window + 1):
-        for n in range(m + 1, window + 1):
-            if n % m == 0:
-                continue
-            lhs = f(m) * f(n)
-            rhs = f(math.gcd(m, n)) * f(math.lcm(m, n))
-            if lhs != rhs:
-                return ClassReport(
-                    REARICK,
-                    REFUTED,
-                    window,
-                    witness=Witness(m, n, lhs, rhs, LAW_REARICK),
-                    reason=(
-                        f"f({m})*f({n}) = {lhs} but "
-                        f"f({math.gcd(m, n)})*f({math.lcm(m, n)}) = {rhs}"
-                    ),
-                )
-    return ClassReport(REARICK, CONSISTENT, window)
+    pairs = (
+        (m, n) for m in range(1, window + 1) for n in range(m + 1, window + 1) if n % m
+    )
+    return _report(REARICK, window, _sweep(f, LAW_REARICK, pairs))
 
 
 @dataclass(eq=False)

@@ -23,7 +23,6 @@ import time
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from . import numtheory as nt
 from . import ramanujan as rj
 from .arith import (
     ArithFn,
@@ -44,15 +43,14 @@ from .classes import (
     REARICK,
     SELBERG,
     SEMIMULTIPLICATIVE,
-    SelbergFactorization,
+    AnyPoint,
+    ClassReport,
     Witness,
     check_rearick,
     classify_all,
 )
 from .multivar import (
     MultiArithFn,
-    MultiSelbergFactorization,
-    MultiWitness,
     SelbergSystem,
     classify_all_u,
     dirichlet_u,
@@ -257,90 +255,76 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _point_obj(x: Optional[AnyPoint]) -> Union[int, list, None]:
+    return list(x) if isinstance(x, tuple) else x
+
+
+def _text(x) -> str:
+    """TSV form of a JSON value: "" for null and "e1,e2" for a point."""
+    if x is None:
+        return ""
+    return ",".join(map(str, x)) if isinstance(x, (list, tuple)) else str(x)
+
+
 def _witness_obj(w: Witness) -> dict:
     out = {
-        "m": w.m,
-        "n": w.n,
+        "m": _point_obj(w.m),
+        "n": _point_obj(w.n),
         "lhs": format_rational(w.lhs),
         "rhs": format_rational(w.rhs),
         "law": w.law,
     }
     if w.shift is not None:
-        out["shift"] = w.shift
+        out["shift"] = _point_obj(w.shift)
     return out
 
 
-def _multi_witness_obj(w: MultiWitness) -> dict:
+def _witness_text(obj: Optional[dict]) -> str:
+    """m= before n= in one variable, n= before m= in several."""
+    if obj is None:
+        return ""
+    m, n = f"m={_text(obj['m']) or '-'}", f"n={_text(obj['n'])}"
+    s = f"{m} {n} " if isinstance(obj["n"], int) else f"{n} {m} "
+    s += f"lhs={obj['lhs']} rhs={obj['rhs']}"
+    if "shift" in obj:
+        s += f" a={_text(obj['shift'])}"
+    return s
+
+
+def _tables_obj(fac) -> dict:
+    """A factor system with per-prime tables: a one- or multivariable
+    factorization (with its shift) or a SelbergSystem (with its gauge)."""
     out = {
-        "n": list(w.n),
-        "m": list(w.m) if w.m is not None else None,
-        "lhs": format_rational(w.lhs),
-        "rhs": format_rational(w.rhs),
-        "law": w.law,
+        "constant": format_rational(fac.constant),
+        "tables": {
+            str(p): {_text(e): format_rational(v) for e, v in sorted(col.items())}
+            for p, col in sorted(fac.tables.items())
+        },
     }
-    if w.shift is not None:
-        out["shift"] = list(w.shift)
+    if isinstance(fac, SelbergSystem):
+        out["exceptions"] = list(fac.exceptions)
+        out["anchors"] = [[p, list(sig)] for p, sig in fac.anchors]
+    else:
+        out["a"] = _point_obj(fac.a)
     return out
 
 
-def _witness_text(w: Optional[Witness]) -> str:
-    if w is None:
-        return ""
-    s = f"m={w.m} n={w.n} lhs={format_rational(w.lhs)} rhs={format_rational(w.rhs)}"
-    if w.shift is not None:
-        s += f" a={w.shift}"
-    return s
-
-
-def _multi_witness_text(w: Optional[MultiWitness]) -> str:
-    if w is None:
-        return ""
-    mtxt = ",".join(map(str, w.m)) if w.m is not None else "-"
-    s = (
-        f"n={','.join(map(str, w.n))} m={mtxt} "
-        f"lhs={format_rational(w.lhs)} rhs={format_rational(w.rhs)}"
-    )
-    if w.shift is not None:
-        s += f" a={','.join(map(str, w.shift))}"
-    return s
-
-
-def _selberg_obj(fac: SelbergFactorization) -> dict:
-    return {
-        "constant": format_rational(fac.constant),
-        "a": fac.a,
-        "tables": {
-            str(p): {str(e): format_rational(v) for e, v in sorted(col.items())}
-            for p, col in sorted(fac.tables.items())
-        },
+def _row(rep: ClassReport) -> dict:
+    """One classify result; the TSV line is read off this JSON row."""
+    row = {
+        "class": rep.klass,
+        "verdict": rep.verdict,
+        "c": format_rational(rep.c) if rep.c is not None else None,
+        "a": _point_obj(rep.a),
+        "witness": _witness_obj(rep.witness) if rep.witness else None,
+        "reason": rep.reason,
     }
-
-
-def _sig_key(sig: tuple[int, ...]) -> str:
-    return ",".join(map(str, sig))
-
-
-def _factorization_u_obj(fac: MultiSelbergFactorization) -> dict:
-    return {
-        "constant": format_rational(fac.constant),
-        "a": list(fac.a),
-        "tables": {
-            str(p): {_sig_key(e): format_rational(v) for e, v in sorted(col.items())}
-            for p, col in sorted(fac.tables.items())
-        },
-    }
-
-
-def _system_obj(system: SelbergSystem) -> dict:
-    return {
-        "constant": format_rational(system.constant),
-        "exceptions": list(system.exceptions),
-        "anchors": [[p, list(sig)] for p, sig in system.anchors],
-        "tables": {
-            str(p): {_sig_key(e): format_rational(v) for e, v in sorted(col.items())}
-            for p, col in sorted(system.tables.items())
-        },
-    }
+    if rep.forcing:
+        row["forcing"] = [list(pt) for pt in rep.forcing]
+    for key in ("selberg", "factorization", "system"):
+        if getattr(rep, key) is not None:
+            row[key] = _tables_obj(getattr(rep, key))
+    return row
 
 
 def _cmd_eval(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
@@ -367,74 +351,21 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
         raise FnSpecError(
             f"--arity {args.arity} does not match {fn.name} (arity {getattr(fn, 'arity', 1)})"
         )
-    rows: list[dict] = []
-    lines = ["class\tverdict\tc\ta\twitness\treason"]
     if isinstance(fn, ArithFn):
         reports = classify_all(fn, args.window)
         reports[REARICK] = check_rearick(fn, args.window)
-        order = (MULTIPLICATIVE, QUASIMULTIPLICATIVE, SEMIMULTIPLICATIVE, SELBERG, REARICK)
-        for klass in order:
-            rep = reports[klass]
-            row = {
-                "class": klass,
-                "verdict": rep.verdict,
-                "c": format_rational(rep.c) if rep.c is not None else None,
-                "a": rep.a,
-                "witness": _witness_obj(rep.witness) if rep.witness else None,
-                "reason": rep.reason,
-            }
-            if rep.selberg is not None:
-                row["selberg"] = _selberg_obj(rep.selberg)
-            rows.append(row)
-            lines.append(
-                "\t".join(
-                    [
-                        klass,
-                        rep.verdict,
-                        format_rational(rep.c) if rep.c is not None else "",
-                        str(rep.a) if rep.a is not None else "",
-                        _witness_text(rep.witness),
-                        rep.reason,
-                    ]
-                )
-            )
     else:
-        ureports = classify_all_u(fn, args.window)
-        for klass in (MULTIPLICATIVE, QUASIMULTIPLICATIVE, SEMIMULTIPLICATIVE, SELBERG):
-            urep = ureports[klass]
-            row = {
-                "class": klass,
-                "verdict": urep.verdict,
-                "c": format_rational(urep.c) if urep.c is not None else None,
-                "a": list(urep.a) if urep.a is not None else None,
-                "witness": _multi_witness_obj(urep.witness) if urep.witness else None,
-                "reason": urep.reason,
-            }
-            if urep.forcing:
-                row["forcing"] = [list(pt) for pt in urep.forcing]
-            if urep.factorization is not None:
-                row["factorization"] = _factorization_u_obj(urep.factorization)
-            if urep.system is not None:
-                row["system"] = _system_obj(urep.system)
-            rows.append(row)
-            lines.append(
-                "\t".join(
-                    [
-                        klass,
-                        urep.verdict,
-                        format_rational(urep.c) if urep.c is not None else "",
-                        ",".join(map(str, urep.a)) if urep.a is not None else "",
-                        _multi_witness_text(urep.witness),
-                        urep.reason,
-                    ]
-                )
-            )
-        reports = ureports
+        reports = classify_all_u(fn, args.window)
+    rows = [_row(rep) for rep in reports.values()]
+    lines = ["class\tverdict\tc\ta\twitness\treason"]
+    for r in rows:
+        cells = [r["class"], r["verdict"], _text(r["c"]), _text(r["a"])]
+        lines.append("\t".join(cells + [_witness_text(r["witness"]), r["reason"]]))
     failed = False
     for expected in args.expect or ():
-        if expected not in {r["class"] for r in rows}:
+        if expected not in reports:
             raise FnSpecError(f"--expect {expected} is not available for {fn.name}")
-        verdict = next(r["verdict"] for r in rows if r["class"] == expected)
+        verdict = reports[expected].verdict
         if verdict != CONSISTENT:
             failed = True
             lines.append(f"# expectation failed: {expected} is {verdict}")
@@ -520,10 +451,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, lines, failed = handlers[args.command](args)
-    except (FnSpecError, nt.SieveBoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # FnSpecError and SieveBoundError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - start

@@ -3,7 +3,11 @@
 Points are u-tuples of positive integers and windows are hypercubes
 [1, N]^u. The definitions mirror the one-variable ones with componentwise
 products, componentwise divisibility, and coprimality read off the
-products of the coordinates.
+products of the coordinates. The laws are the LAW_*_U entries of
+classes.LAWS, and the checkers here run them through the same sweep as the
+one-variable checkers, over tuple points; witnesses and reports are the
+classes module's Witness and ClassReport, and recheck_multi_witness is
+classes.recheck_witness.
 
 In several variables the Selberg class is strictly larger than the
 semimultiplicative class, so deciding Selberg membership cannot go through
@@ -27,21 +31,34 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import numtheory as nt
 from .arith import ArithFn, Rational
+from .classes import (
+    CONSISTENT,
+    IDENTICALLY_ZERO,
+    LAW_COVER,
+    LAW_FORCED_SHIFT,
+    LAW_MULT_U,
+    LAW_QUASI_U,
+    LAW_RATIO,
+    LAW_SHIFTED_U,
+    LAW_UNIT_U,
+    MULTIPLICATIVE,
+    QUASIMULTIPLICATIVE,
+    REFUTED,
+    SELBERG,
+    SEMIMULTIPLICATIVE,
+    ClassReport,
+    Witness,
+    _least_support,
+    _pmul,
+    _report,
+    _require_window,
+    _sweep,
+    check_multiplicative,
+    recheck_witness,
+)
 
-from .classes import CONSISTENT, IDENTICALLY_ZERO, REFUTED, check_multiplicative
-
-MULTIPLICATIVE_U = "multiplicative"
-QUASIMULTIPLICATIVE_U = "quasimultiplicative"
-SEMIMULTIPLICATIVE_U = "semimultiplicative"
-SELBERG_U = "selberg"
-
-LAW_MULT_U = "f(n.m) = f(n)*f(m) for componentwise products of coprime points"
-LAW_QUASI_U = "f(1)*f(n.m) = f(n)*f(m)"
-LAW_UNIT_U = "f(1,...,1) != 0 on a function with nonzero values"
-LAW_FORCED_SHIFT = "f(a) != 0 at the shift a forced by the support"
-LAW_SHIFTED_U = "f(a)*f(a.m.n) = f(a.m)*f(a.n)"
-LAW_COVER = "every zero must follow from a per-prime zero pattern"
-LAW_RATIO = "window values must equal constant * product of per-prime factors"
+# One recheck serves every arity; the name stays for existing callers.
+recheck_multi_witness = recheck_witness
 
 Point = tuple[int, ...]
 
@@ -120,69 +137,6 @@ def selberg_not_semimultiplicative() -> MultiArithFn:
     )
 
 
-@dataclass(frozen=True)
-class MultiWitness:
-    """A concrete failed law instance on tuples; lhs != rhs."""
-
-    n: Point
-    m: Optional[Point]
-    lhs: Rational
-    rhs: Rational
-    law: str
-    shift: Optional[Point] = None
-
-
-def recheck_multi_witness(f: MultiArithFn, w: MultiWitness) -> bool:
-    """Re-evaluate the witness's law from scratch; True when the violation
-    reproduces."""
-    ones = (1,) * f.arity
-    if w.law == LAW_MULT_U:
-        assert w.m is not None
-        prod = tuple(a * b for a, b in zip(w.n, w.m))
-        return f(prod) != f(w.n) * f(w.m)
-    if w.law == LAW_QUASI_U:
-        assert w.m is not None
-        prod = tuple(a * b for a, b in zip(w.n, w.m))
-        return f(ones) * f(prod) != f(w.n) * f(w.m)
-    if w.law == LAW_UNIT_U:
-        assert w.m is not None
-        return f(w.n) == 0 and f(w.m) != 0
-    if w.law == LAW_FORCED_SHIFT:
-        assert w.m is not None
-        return f(w.n) == 0 and f(w.m) != 0
-    if w.law == LAW_SHIFTED_U:
-        assert w.m is not None and w.shift is not None
-        a = w.shift
-        amn = tuple(ai * mi * ni for ai, mi, ni in zip(a, w.m, w.n))
-        am = tuple(ai * mi for ai, mi in zip(a, w.m))
-        an = tuple(ai * ni for ai, ni in zip(a, w.n))
-        return f(a) * f(amn) != f(am) * f(an)
-    if w.law in (LAW_COVER, LAW_RATIO):
-        return f(w.n) == w.lhs and w.lhs != w.rhs
-    raise ValueError(f"unknown law {w.law!r}")
-
-
-@dataclass
-class MultiClassReport:
-    """Outcome of one multivariable class check over one hypercube window."""
-
-    klass: str
-    verdict: str
-    window: int
-    arity: int
-    c: Optional[Rational] = None
-    a: Optional[Point] = None
-    system: "Optional[SelbergSystem]" = None
-    factorization: "Optional[MultiSelbergFactorization]" = None
-    witness: Optional[MultiWitness] = None
-    reason: str = ""
-    forcing: tuple[Point, ...] = ()
-
-    @property
-    def consistent(self) -> bool:
-        return self.verdict == CONSISTENT
-
-
 def _points(window: int, u: int) -> Iterator[Point]:
     return itertools.product(range(1, window + 1), repeat=u)
 
@@ -197,69 +151,31 @@ def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
                 yield nvec, mvec
 
 
-def _require_window(window: int, arity: int) -> None:
-    if window < 1:
-        raise ValueError(f"window must be positive, got {window}")
-    if arity > 3:
-        raise ValueError(f"windows are capped at arity 3, got {arity}")
-
-
-def check_multiplicative_u(f: MultiArithFn, window: int) -> MultiClassReport:
+def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
     _require_window(window, f.arity)
-    caps = (window,) * f.arity
-    for nvec, mvec in _coprime_tuple_pairs(caps):
-        prod = tuple(a * b for a, b in zip(nvec, mvec))
-        lhs = f(prod)
-        rhs = f(nvec) * f(mvec)
-        if lhs != rhs:
-            return MultiClassReport(
-                MULTIPLICATIVE_U,
-                REFUTED,
-                window,
-                f.arity,
-                witness=MultiWitness(nvec, mvec, lhs, rhs, LAW_MULT_U),
-                reason=f"f({prod}) = {lhs} but f({nvec})*f({mvec}) = {rhs}",
-            )
-    return MultiClassReport(MULTIPLICATIVE_U, CONSISTENT, window, f.arity)
+    pairs = ((m, n) for n, m in _coprime_tuple_pairs((window,) * f.arity))
+    w = _sweep(f, LAW_MULT_U, pairs, _pmul)
+    return _report(MULTIPLICATIVE, window, w, arity=f.arity)
 
 
-def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> MultiClassReport:
+def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
     _require_window(window, f.arity)
     ones = (1,) * f.arity
-    least = next((pt for pt in _points(window, f.arity) if f(pt) != 0), None)
+    least = _least_support(f, _points(window, f.arity))
     if least is None:
-        return MultiClassReport(QUASIMULTIPLICATIVE_U, IDENTICALLY_ZERO, window, f.arity)
+        return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=f.arity)
+    w = _sweep(f, LAW_UNIT_U, [(least, ones)], _pmul)
+    if w is not None:
+        return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity)
     f1 = f(ones)
-    if f1 == 0:
-        return MultiClassReport(
-            QUASIMULTIPLICATIVE_U,
-            REFUTED,
-            window,
-            f.arity,
-            witness=MultiWitness(ones, least, f1, f(least), LAW_UNIT_U),
-            reason=f"f{ones} = 0 although f{least} = {f(least)} != 0",
-        )
-    caps = (window,) * f.arity
-    for nvec, mvec in _coprime_tuple_pairs(caps):
-        prod = tuple(a * b for a, b in zip(nvec, mvec))
-        lhs = f1 * f(prod)
-        rhs = f(nvec) * f(mvec)
-        if lhs != rhs:
-            return MultiClassReport(
-                QUASIMULTIPLICATIVE_U,
-                REFUTED,
-                window,
-                f.arity,
-                c=f1,
-                witness=MultiWitness(nvec, mvec, lhs, rhs, LAW_QUASI_U),
-                reason=f"f{ones}*f({prod}) = {lhs} but f({nvec})*f({mvec}) = {rhs}",
-            )
-    return MultiClassReport(QUASIMULTIPLICATIVE_U, CONSISTENT, window, f.arity, c=f1)
+    pairs = ((m, n) for n, m in _coprime_tuple_pairs((window,) * f.arity))
+    w = _sweep(f, LAW_QUASI_U, pairs, _pmul, c=f1)
+    return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity, c=f1)
 
 
-def check_semimultiplicative_u(f: MultiArithFn, window: int) -> MultiClassReport:
+def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Determine the shift forced by the support, then sweep the shifted law.
 
     Any admissible shift must divide every support point componentwise and
@@ -272,52 +188,27 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> MultiClassReport
     support_iter = (pt for pt in _points(window, u) if f(pt) != 0)
     first = next(support_iter, None)
     if first is None:
-        return MultiClassReport(SEMIMULTIPLICATIVE_U, IDENTICALLY_ZERO, window, u)
-    running = first
+        return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u)
+    avec = first
     forcing = [first]
     for pt in support_iter:
-        new = tuple(math.gcd(a, b) for a, b in zip(running, pt))
-        if new != running:
+        new = tuple(math.gcd(a, b) for a, b in zip(avec, pt))
+        if new != avec:
             forcing.append(pt)
-            running = new
-        if running == (1,) * u:
+            avec = new
+        if avec == (1,) * u:
             break
-    avec = running
-    chain = "; ".join(f"f{pt} != 0 forces a | {pt}" for pt in forcing)
-    if f(avec) == 0:
-        return MultiClassReport(
-            SEMIMULTIPLICATIVE_U,
-            REFUTED,
-            window,
-            u,
-            a=avec,
-            forcing=tuple(forcing),
-            witness=MultiWitness(avec, forcing[0], f(avec), f(forcing[0]), LAW_FORCED_SHIFT),
-            reason=f"{chain}; hence a = {avec}, but f{avec} = 0",
-        )
+    known = {"arity": u, "a": avec, "forcing": tuple(forcing)}
+    w = _sweep(f, LAW_FORCED_SHIFT, [(forcing[0], avec)], _pmul)
+    if w is not None:
+        rep = _report(SEMIMULTIPLICATIVE, window, w, **known)
+        chain = "; ".join(f"f{pt} != 0 forces a | {pt}" for pt in forcing)
+        rep.reason = f"{chain}; {rep.reason}"
+        return rep
     fa = f(avec)
     caps = tuple(window // ai for ai in avec)
-    for mvec, nvec in _coprime_tuple_pairs(caps):
-        amn = tuple(ai * mi * ni for ai, mi, ni in zip(avec, mvec, nvec))
-        am = tuple(ai * mi for ai, mi in zip(avec, mvec))
-        an = tuple(ai * ni for ai, ni in zip(avec, nvec))
-        lhs = fa * f(amn)
-        rhs = f(am) * f(an)
-        if lhs != rhs:
-            return MultiClassReport(
-                SEMIMULTIPLICATIVE_U,
-                REFUTED,
-                window,
-                u,
-                a=avec,
-                c=fa,
-                forcing=tuple(forcing),
-                witness=MultiWitness(nvec, mvec, lhs, rhs, LAW_SHIFTED_U, shift=avec),
-                reason=f"f{avec}*f({amn}) = {lhs} but f({am})*f({an}) = {rhs}",
-            )
-    return MultiClassReport(
-        SEMIMULTIPLICATIVE_U, CONSISTENT, window, u, c=fa, a=avec, forcing=tuple(forcing)
-    )
+    w = _sweep(f, LAW_SHIFTED_U, _coprime_tuple_pairs(caps), _pmul, c=fa, a=avec)
+    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, **known)
 
 
 @dataclass(eq=False)
@@ -352,7 +243,7 @@ class MultiSelbergFactorization:
 
 
 def extract_selberg_u(
-    f: MultiArithFn, window: int, report: Optional[MultiClassReport] = None
+    f: MultiArithFn, window: int, report: Optional[ClassReport] = None
 ) -> MultiSelbergFactorization:
     """Per-prime tables F_p(e) = f(a_i p^(e_i - nu_p(a_i)))/f(a), with value 0
     as soon as one exponent drops below nu_p(a_i)."""
@@ -422,15 +313,8 @@ class SelbergSystem:
             val *= col[sig]
         return val
 
-    def verify(self, f: MultiArithFn) -> Optional[Point]:
-        """First window point (lex order) where the prediction misses, if any."""
-        for pt in _points(self.window, self.arity):
-            if self.predict(pt) != f(pt):
-                return pt
-        return None
 
-
-def check_selberg_u(f: MultiArithFn, window: int) -> MultiClassReport:
+def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     """Decide whether any per-prime factor system matches the window.
 
     Phase 1 (zero pattern): a signature e of prime p is a candidate zero,
@@ -450,7 +334,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> MultiClassReport:
     pts = list(_points(window, u))
     vals: dict[Point, Rational] = {pt: f(pt) for pt in pts}
     if all(v == 0 for v in vals.values()):
-        return MultiClassReport(SELBERG_U, IDENTICALLY_ZERO, window, u)
+        return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
     primes = nt.primes_up_to(window) if window >= 2 else []
     zero_vec = (0,) * u
 
@@ -477,13 +361,13 @@ def check_selberg_u(f: MultiArithFn, window: int) -> MultiClassReport:
                 sharers.append((p, owner))
             _, owner0 = sharers[0] if sharers else (None, None)
             detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
-            return MultiClassReport(
-                SELBERG_U,
+            return ClassReport(
+                SELBERG,
                 REFUTED,
                 window,
-                u,
-                witness=MultiWitness(
-                    pt, owner0, vals[pt], vals[owner0] if owner0 else 1, LAW_COVER
+                arity=u,
+                witness=Witness(
+                    owner0, pt, vals[pt], vals[owner0] if owner0 else 1, LAW_COVER
                 ),
                 reason=f"f{pt} = 0 is not explained by any per-prime zero pattern ({detail})",
             )
@@ -544,12 +428,12 @@ def check_selberg_u(f: MultiArithFn, window: int) -> MultiClassReport:
                 f"F_{p}{sig} = {known[(p, sig)]} pinned at {defining.get((p, sig), 'anchor')}"
                 for p, sig in factors
             )
-            return MultiClassReport(
-                SELBERG_U,
+            return ClassReport(
+                SELBERG,
                 REFUTED,
                 window,
-                u,
-                witness=MultiWitness(pt, None, Fraction(vals[pt]), pred, LAW_RATIO),
+                arity=u,
+                witness=Witness(None, pt, Fraction(vals[pt]), pred, LAW_RATIO),
                 reason=(
                     f"with constant {constant} and {origin}, the product at {pt} "
                     f"is {pred} but f{pt} = {value}"
@@ -577,7 +461,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> MultiClassReport:
         anchors=tuple(anchors),
         defining=defining,
     )
-    return MultiClassReport(SELBERG_U, CONSISTENT, window, u, system=system)
+    return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
 
 
 @dataclass
@@ -594,7 +478,7 @@ class TwoVariableReport:
     even_witness: Optional[tuple]
     mult_in_modulus_ok: bool
     mult_witness: Optional[tuple]
-    conclusion: MultiClassReport
+    conclusion: ClassReport
     chain_ok: bool
     chain_witness: Optional[tuple]
 
@@ -666,17 +550,17 @@ def check_two_variable_theorem(
     )
 
 
-def classify_all_u(f: MultiArithFn, window: int) -> dict[str, MultiClassReport]:
+def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
     """All four multivariable class checks for one function."""
     reports = {
-        MULTIPLICATIVE_U: check_multiplicative_u(f, window),
-        QUASIMULTIPLICATIVE_U: check_quasimultiplicative_u(f, window),
-        SEMIMULTIPLICATIVE_U: check_semimultiplicative_u(f, window),
-        SELBERG_U: check_selberg_u(f, window),
+        MULTIPLICATIVE: check_multiplicative_u(f, window),
+        QUASIMULTIPLICATIVE: check_quasimultiplicative_u(f, window),
+        SEMIMULTIPLICATIVE: check_semimultiplicative_u(f, window),
+        SELBERG: check_selberg_u(f, window),
     }
-    semi = reports[SEMIMULTIPLICATIVE_U]
+    semi = reports[SEMIMULTIPLICATIVE]
     if semi.verdict == CONSISTENT:
-        reports[SEMIMULTIPLICATIVE_U].factorization = extract_selberg_u(
+        reports[SEMIMULTIPLICATIVE].factorization = extract_selberg_u(
             f, window, report=semi
         )
     return reports

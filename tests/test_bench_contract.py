@@ -1,0 +1,80 @@
+"""The names the benchmark wraps and imports exist, and the per-layer spans
+and counters see the checkers.
+
+bench/spans.py patches multclass functions from outside and bench/inproc.py
+imports a fixed set of names; a refactor that drops or rebinds one of them
+would otherwise only show in a traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+@pytest.fixture
+def tracer():
+    sys.path.insert(0, str(BENCH))
+    try:
+        from spans import Tracer
+
+        yield Tracer()
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_inproc_names_import():
+    from multclass.arith import ArithFn, format_rational  # noqa: F401
+    from multclass.classes import (  # noqa: F401
+        CONSISTENT,
+        IDENTICALLY_ZERO,
+        MULTIPLICATIVE,
+        QUASIMULTIPLICATIVE,
+        REFUTED,
+        SELBERG,
+        SEMIMULTIPLICATIVE,
+        classify_all,
+        recheck_witness,
+    )
+    from multclass.cli import parse_fn_spec  # noqa: F401
+    from multclass.multivar import MultiArithFn, classify_all_u, recheck_multi_witness  # noqa: F401
+    from multclass.numtheory import factorize, sieve_bound  # noqa: F401
+
+
+def test_tracer_installs_and_undoes(tracer):
+    from multclass import arith, classes, multivar
+
+    before = (classes.check_multiplicative, classes.coprime_pairs, arith.ArithFn.__call__)
+    undo = tracer.install()
+    try:
+        assert classes.check_multiplicative is not before[0]
+        assert classes.coprime_pairs is not before[1]
+    finally:
+        undo()
+    assert (classes.check_multiplicative, classes.coprime_pairs, arith.ArithFn.__call__) == before
+    assert multivar.check_multiplicative is classes.check_multiplicative
+
+
+def test_traced_layers_see_the_checkers(tracer):
+    from spans import CHECKERS, layer_metrics
+
+    from multclass import classes, multivar
+    from multclass.arith import classical
+
+    undo = tracer.install()
+    try:
+        with tracer.job("contract"):
+            classes.classify_all(classical("euler_phi"), 64)
+            classes.check_rearick(classical("mobius"), 16)
+            multivar.classify_all_u(multivar.tensor(classical("mobius"), classical("one")), 6)
+    finally:
+        undo()
+    metrics = layer_metrics([tracer.summary()], [])
+    for module, names in CHECKERS.items():
+        for name in names:
+            assert metrics[f"{module}.{name}.s"] > 0, f"{module}.{name}"
+    assert metrics["classes.coprime_pairs.pairs"] > 0
+    assert metrics["arith.eval.calls"] > 0
+    assert metrics["multivar.eval.calls"] > 0
