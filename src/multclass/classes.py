@@ -88,7 +88,11 @@ def _unit(pt: AnyPoint) -> AnyPoint:
     return 1 if isinstance(pt, int) else (1,) * len(pt)
 
 
-def _product(f, m, n, c, a, mul):
+def _plain(f, m, n, c, a, mul):
+    return f(mul(m, n)), f(m) * f(n)
+
+
+def _scaled(f, m, n, c, a, mul):
     return c * f(mul(m, n)), f(m) * f(n)
 
 
@@ -109,13 +113,13 @@ class Law:
 
     evaluate: Callable
     reason: str
-    scaled: bool = False  # c = f(a), with a the shift or else the unit point; c = 1 otherwise
+    scaled: bool = False  # c = f(a), with a the shift or else the unit point; unused otherwise
     broken: Callable[[Rational, Rational], bool] = operator.ne
 
 
 LAWS: dict[str, Law] = {
-    LAW_MULT: Law(_product, "f({mn}) = {lhs} but f({m})*f({n}) = {rhs}"),
-    LAW_QUASI: Law(_product, "f(1)*f({mn}) = {lhs} but f({m})*f({n}) = {rhs}", scaled=True),
+    LAW_MULT: Law(_plain, "f({mn}) = {lhs} but f({m})*f({n}) = {rhs}"),
+    LAW_QUASI: Law(_scaled, "f(1)*f({mn}) = {lhs} but f({m})*f({n}) = {rhs}", scaled=True),
     LAW_UNIT: Law(
         lambda f, m, n, c, a, mul: (f(m), f(n)),
         "f(1) = 0 although f({n}) = {rhs} != 0, so the forced constant vanishes",
@@ -130,8 +134,8 @@ LAWS: dict[str, Law] = {
         lambda f, m, n, c, a, mul: (f(m) * f(n), f(math.gcd(m, n)) * f(math.lcm(m, n))),
         "f({m})*f({n}) = {lhs} but f({gcd})*f({lcm}) = {rhs}",
     ),
-    LAW_MULT_U: Law(_product, "f({mn}) = {lhs} but f({n})*f({m}) = {rhs}"),
-    LAW_QUASI_U: Law(_product, "f{unit}*f({mn}) = {lhs} but f({n})*f({m}) = {rhs}", scaled=True),
+    LAW_MULT_U: Law(_plain, "f({mn}) = {lhs} but f({n})*f({m}) = {rhs}"),
+    LAW_QUASI_U: Law(_scaled, "f{unit}*f({mn}) = {lhs} but f({n})*f({m}) = {rhs}", scaled=True),
     LAW_UNIT_U: Law(
         lambda f, m, n, c, a, mul: (f(n), f(m)),
         "f{n} = 0 although f{m} = {rhs} != 0",
