@@ -3,11 +3,11 @@
 Points are u-tuples of positive integers and windows are hypercubes
 [1, N]^u. The definitions mirror the one-variable ones with componentwise
 products, componentwise divisibility, and coprimality read off the
-products of the coordinates. The laws are the LAW_*_U entries of
-classes.LAWS, and the checkers here run them through the same sweep as the
-one-variable checkers, over tuple points; witnesses and reports are the
-classes module's Witness and ClassReport, and recheck_multi_witness is
-classes.recheck_witness.
+products of the coordinates. The laws are entries of classes.LAWS
+(LAW_*_U and LAW_FORCED_SHIFT), and the checkers here run them through the
+same sweep as the one-variable checkers, over tuple points; witnesses and
+reports are the classes module's Witness and ClassReport, and
+recheck_multi_witness is classes.recheck_witness.
 
 In several variables the Selberg class is strictly larger than the
 semimultiplicative class, so deciding Selberg membership cannot go through
