@@ -100,6 +100,13 @@ def _shifted(f, m, n, c, a, mul):
     return c * f(mul(a, mul(m, n))), f(mul(a, m)) * f(mul(a, n))
 
 
+def _rearick(f, m, n, c, a, mul):
+    # 0 * f(lcm) = 0 for every value of f(lcm), so f is not evaluated at the
+    # lcm, which may lie far beyond the window, when f(gcd) = 0.
+    g = f(math.gcd(m, n))
+    return f(m) * f(n), g * f(math.lcm(m, n)) if g else g
+
+
 def _vanishes_first(lhs: Rational, rhs: Rational) -> bool:
     return lhs == 0 and rhs != 0
 
@@ -130,10 +137,7 @@ LAWS: dict[str, Law] = {
         "least support point is a = {a}, yet f({n}) = {lhs} with {a} not dividing {n}",
     ),
     LAW_SHIFTED: Law(_shifted, "f({a})*f({amn}) = {lhs} but f({am})*f({an}) = {rhs}", scaled=True),
-    LAW_REARICK: Law(
-        lambda f, m, n, c, a, mul: (f(m) * f(n), f(math.gcd(m, n)) * f(math.lcm(m, n))),
-        "f({m})*f({n}) = {lhs} but f({gcd})*f({lcm}) = {rhs}",
-    ),
+    LAW_REARICK: Law(_rearick, "f({m})*f({n}) = {lhs} but f({gcd})*f({lcm}) = {rhs}"),
     LAW_MULT_U: Law(_plain, "f({mn}) = {lhs} but f({n})*f({m}) = {rhs}"),
     LAW_QUASI_U: Law(_scaled, "f{unit}*f({mn}) = {lhs} but f({n})*f({m}) = {rhs}", scaled=True),
     LAW_UNIT_U: Law(
@@ -292,19 +296,34 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
 
 
+class _WindowValues(dict):
+    """f at 1..window, read from one table; any other argument is passed to
+    f itself and not stored here, so only f's own memo keeps it."""
+
+    def __init__(self, f: ArithFn, window: int):
+        super().__init__(zip(range(1, window + 1), f.table(window)))
+        self.f = f
+
+    def __missing__(self, n: int) -> Rational:
+        return self.f(n)
+
+
 def check_rearick(f: ArithFn, window: int) -> ClassReport:
     """Sweep the gcd-lcm identity f(m) f(n) = f((m,n)) f([m,n]) for all
     m, n <= window.
 
-    The lcm is evaluated directly even when it exceeds the window (ArithFn
-    is total, so no truncation happens). Pairs where {gcd, lcm} equals
-    {m, n} hold trivially and are skipped.
+    f is evaluated at every point of 1..window up front, and the sweep reads
+    those values from that one table. f(lcm) is evaluated only when
+    f(gcd) != 0, since the rhs is 0 otherwise; an lcm beyond the window is
+    evaluated directly (ArithFn is total, so no truncation happens). Pairs
+    where {gcd, lcm} equals {m, n} hold trivially and are skipped.
     """
     _require_window(window)
     pairs = (
         (m, n) for m in range(1, window + 1) for n in range(m + 1, window + 1) if n % m
     )
-    return _report(REARICK, window, _sweep(f, LAW_REARICK, pairs))
+    values = _WindowValues(f, window)
+    return _report(REARICK, window, _sweep(values.__getitem__, LAW_REARICK, pairs))
 
 
 @dataclass(eq=False)

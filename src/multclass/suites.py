@@ -7,6 +7,7 @@ JSON report of a suite run is stable enough for golden files.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -96,8 +97,6 @@ def suite_selberg_reconstruct(window: int) -> SuiteResult:
             Check(f.name, bad is None, "reconstructed" if bad is None else f"mismatch at n={bad}")
         )
     uw = min(window, 12)
-    import itertools
-
     for mf in (
         tensor(mobius, mobius),
         tensor(rj.c_fn(4), rj.c_fn(4)),

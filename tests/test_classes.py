@@ -21,7 +21,8 @@ from multclass.classes import (
     extract_selberg,
     recheck_witness,
 )
-from multclass.ramanujan import c_bar_fn, c_fn
+from multclass.corpus import corpus
+from multclass.ramanujan import c_bar_fn, c_fn, mu_bar_fn
 
 mobius = classical("mobius")
 phi = classical("euler_phi")
@@ -38,13 +39,22 @@ def brute_multiplicative(f, window):
 
 
 def brute_rearick(f, window):
+    """The least pair m < n <= window with n % m != 0 at which
+    f(m) f(n) != f(gcd) f(lcm), with both sides evaluated in full (the lcm
+    may lie beyond the window), as (m, n, lhs, rhs, reason); else None."""
     for m in range(1, window + 1):
-        for n in range(1, window + 1):
-            g = math.gcd(m, n)
-            l = m * n // g
-            if l <= window and f(m) * f(n) != f(g) * f(l):
-                return False
-    return True
+        for n in range(m + 1, window + 1):
+            if n % m == 0:
+                continue
+            g, l = math.gcd(m, n), math.lcm(m, n)
+            lhs, rhs = f(m) * f(n), f(g) * f(l)
+            if lhs != rhs:
+                return m, n, lhs, rhs, f"f({m})*f({n}) = {lhs} but f({g})*f({l}) = {rhs}"
+    return None
+
+
+def perturb(f, at, value):
+    return ArithFn(f"{f.name}!", lambda n: value if n == at else f(n))
 
 
 def test_check_multiplicative_matches_brute():
@@ -93,9 +103,17 @@ def test_semimultiplicative_shift_of_c_bar12():
 
 
 def test_rearick_agrees_with_brute():
-    for f in [mobius, phi, c_fn(4), c_fn(12), c_bar_fn(12), nplus1]:
-        rep = check_rearick(f, 24)
-        assert rep.consistent == brute_rearick(f, 24), f.name
+    fns = corpus() + [nplus1, scale(c_fn(5), Fraction(3, 2))]
+    fns += [perturb(c_bar_fn(12), at, 5) for at in (4, 12)]
+    fns += [perturb(mu_bar_fn(18), at, 5) for at in (8, 9)]
+    for f in fns:
+        rep = check_rearick(f, 32)
+        expected = brute_rearick(f, 32)
+        if expected is None:
+            assert (rep.verdict, rep.witness, rep.reason) == (CONSISTENT, None, ""), f.name
+        else:
+            w = rep.witness
+            assert (rep.verdict, w.m, w.n, w.lhs, w.rhs, rep.reason) == (REFUTED, *expected), f.name
 
 
 def test_rearick_refutes_n_plus_one():

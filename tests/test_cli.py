@@ -137,6 +137,11 @@ def test_usage_errors_exit_two(capsys):
     assert run(["classify", "--fn", "mobius", "--arity", "2"]) == 2
     assert run(["classify", "--fn", "mobius", "--window", "1"]) == 2
     capsys.readouterr()
+    # the Rearick row needs r2 at lcm arguments past its enumeration budget
+    assert run(["classify", "--fn", "r2", "--window", "150"]) == 2
+    err = capsys.readouterr().err
+    assert "r2 enumeration is budgeted to n <= 20000" in err
+    assert "Traceback" not in err
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

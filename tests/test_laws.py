@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from multclass import classes
-from multclass.arith import ArithFn, classical, compose, scale
+from multclass.arith import ArithFn, classical, compose, one, scale
 from multclass.classes import (
     check_multiplicative,
     check_quasimultiplicative,
@@ -132,3 +132,38 @@ def test_one_recheck_for_every_arity():
     assert set(classes.LAWS) == {
         getattr(classes, name) for name in LAW_NAMES
     } - {classes.LAW_COVER, classes.LAW_RATIO}
+
+
+def test_rearick_zero_gcd_skips_the_lcm():
+    # f(1) = 0 makes the rhs 0 whatever f(6) is, so f(6) is never evaluated
+    indicator = ArithFn("ind{2,3}", lambda n: 1 if n in (2, 3) else 0)
+    rep = check_rearick(indicator, 8)
+    w = rep.witness
+    assert (w.m, w.n, w.lhs, w.rhs, w.shift) == (2, 3, 1, 0, None)
+    assert rep.reason == "f(2)*f(3) = 1 but f(1)*f(6) = 0"
+    assert recheck_witness(indicator, w)
+
+    def raises_at_6(n):
+        if n == 6:
+            raise AssertionError("f(6) evaluated")
+        return indicator(n)
+
+    assert recheck_witness(ArithFn("ind{2,3}?", raises_at_6), w)
+    assert not recheck_witness(mobius, w)
+
+
+# Both Selberg-product replays below wrongly return True: the recheck of
+# LAW_RATIO and LAW_COVER compares f(w.n) with the stored sides only.
+@pytest.mark.xfail(strict=True, reason="LAW_RATIO recheck trusts the stored sides")
+def test_ratio_recheck_rejects_a_selberg_product():
+    _, f, window, *_ = CASES["LAW_RATIO"]
+    w = check_selberg_u(f, window).witness
+    assert not recheck_witness(MultiArithFn("five", 2, lambda pt: 5), w)
+
+
+@pytest.mark.xfail(strict=True, reason="LAW_COVER recheck trusts the stored sides")
+def test_cover_recheck_rejects_a_selberg_product():
+    _, f, window, *_ = CASES["LAW_COVER"]
+    w = check_selberg_u(f, window).witness
+    no3 = ArithFn("no3", lambda n: 0 if n % 3 == 0 else 1)
+    assert not recheck_witness(tensor(one, no3), w)
