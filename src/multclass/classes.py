@@ -15,9 +15,12 @@ the shift a. One sweep, _sweep, serves every arity from 1 to 3: points are
 ints here and tuples in multivar, whose checkers call the same sweep, and
 recheck_witness replays witnesses of either kind through the same table.
 
-Sweeps run in a fixed order (by (m*n, m) for one-variable coprime pairs,
-lexicographically for tuple pairs, by (m, n) for the gcd-lcm law), so
-reports are deterministic and the stored witness is the least one.
+Sweeps run in a fixed order, so reports are deterministic and the stored
+witness is the least one: by (m*n, m) for one-variable coprime pairs,
+lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. The
+one-variable coprime sweep checks two splits per product, which finds the
+least failing product (see coprime_pairs), then scans that product's splits
+by m.
 Checkers only read their input function, hence are safe to run
 concurrently.
 """
@@ -237,17 +240,49 @@ def _report(klass: str, window: int, w: Optional[Witness], **known) -> ClassRepo
 
 
 def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
-    """Every ordered coprime pair (m, n) with m*n <= bound, by (m*n, m)."""
+    """Two coprime splits of each product N = 1..bound, ascending: (1, N),
+    then (q, N // q) when N has two or more prime factors, where q is the
+    full power of N's least prime.
+
+    These two suffice for any law c F(m n) = F(m) F(n) with c != 0. If it
+    holds at every split of every product below N and at these two, take a
+    split m n = N with q | m, m = q m'. Then c^2 F(N) = c F(q) F(m' n) =
+    F(q) F(m') F(n) = c F(m) F(n). So the first product with a failing
+    split is the first N failing here; _splits(N) then gives the least
+    witness.
+    """
     for prod in range(1, bound + 1):
-        for m in nt.divisors(prod):
-            n = prod // m
-            if math.gcd(m, n) == 1:
-                yield m, n
+        yield 1, prod
+        pairs = nt.factorize(prod).pairs
+        if len(pairs) > 1:
+            p, e = pairs[0]
+            q = p**e
+            yield q, prod // q
+
+
+def _splits(prod: int) -> Iterator[tuple[int, int]]:
+    """Every ordered coprime pair (m, n) with m*n = prod, m ascending."""
+    for m in nt.divisors(prod):
+        n = prod // m
+        if math.gcd(m, n) == 1:
+            yield m, n
+
+
+def _coprime_sweep(
+    f: Callable, law: str, bound: int, c: Rational = 1, a: Optional[int] = None
+) -> Optional[Witness]:
+    """The (m*n, m)-least coprime pair with m*n <= bound at which the law
+    fails: the two-split sweep finds the product, a full scan of its splits
+    the pair."""
+    w = _sweep(f, law, coprime_pairs(bound), c=c, a=a)
+    if w is None:
+        return None
+    return _sweep(f, law, _splits(w.m * w.n), c=c, a=a)
 
 
 def _require_window(window: int, arity: int = 1) -> None:
-    if window < 1:
-        raise ValueError(f"window must be a positive integer, got {window}")
+    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
+        raise ValueError(f"window must be a positive integer, got {window!r}")
     if arity > 3:
         raise ValueError(f"windows are capped at arity 3, got {arity}")
 
@@ -256,10 +291,28 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
     return next((pt for pt in points if f(pt) != 0), None)
 
 
+class _WindowValues(dict):
+    """f read through one table, filled on first use: a value at 1..window
+    is evaluated once and kept; any other argument is passed to f itself and
+    not stored here, so only f's own memo keeps it."""
+
+    def __init__(self, f: ArithFn, window: int):
+        super().__init__()
+        self.f = f
+        self.window = window
+
+    def __missing__(self, n: int) -> Rational:
+        value = self.f(n)
+        if n <= self.window:
+            self[n] = value
+        return value
+
+
 def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
     """Sweep f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
     _require_window(window)
-    return _report(MULTIPLICATIVE, window, _sweep(f, LAW_MULT, coprime_pairs(window)))
+    values = _WindowValues(f, window).__getitem__
+    return _report(MULTIPLICATIVE, window, _coprime_sweep(values, LAW_MULT, window))
 
 
 def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
@@ -270,14 +323,15 @@ def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
     forbids.
     """
     _require_window(window)
-    k = _least_support(f, range(1, window + 1))
+    values = _WindowValues(f, window).__getitem__
+    k = _least_support(values, range(1, window + 1))
     if k is None:
         return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    w = _sweep(f, LAW_UNIT, [(1, k)])
+    w = _sweep(values, LAW_UNIT, [(1, k)])
     if w is not None:
         return _report(QUASIMULTIPLICATIVE, window, w)
-    f1 = f(1)
-    w = _sweep(f, LAW_QUASI, coprime_pairs(window), c=f1)
+    f1 = values(1)
+    w = _coprime_sweep(values, LAW_QUASI, window, c=f1)
     return _report(QUASIMULTIPLICATIVE, window, w, c=f1)
 
 
@@ -285,35 +339,24 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     """Locate the least support point a, require the support to lie in a's
     multiples, then sweep f(a) f(amn) = f(am) f(an) over coprime m, n."""
     _require_window(window)
-    a = _least_support(f, range(1, window + 1))
+    values = _WindowValues(f, window).__getitem__
+    a = _least_support(values, range(1, window + 1))
     if a is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    w = _sweep(f, LAW_SUPPORT, ((a, n) for n in range(a + 1, window + 1)), a=a)
+    w = _sweep(values, LAW_SUPPORT, ((a, n) for n in range(a + 1, window + 1)), a=a)
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
-    fa = f(a)
-    w = _sweep(f, LAW_SHIFTED, coprime_pairs(window // a), c=fa, a=a)
+    fa = values(a)
+    w = _coprime_sweep(values, LAW_SHIFTED, window // a, c=fa, a=a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
-
-
-class _WindowValues(dict):
-    """f at 1..window, read from one table; any other argument is passed to
-    f itself and not stored here, so only f's own memo keeps it."""
-
-    def __init__(self, f: ArithFn, window: int):
-        super().__init__(zip(range(1, window + 1), f.table(window)))
-        self.f = f
-
-    def __missing__(self, n: int) -> Rational:
-        return self.f(n)
 
 
 def check_rearick(f: ArithFn, window: int) -> ClassReport:
     """Sweep the gcd-lcm identity f(m) f(n) = f((m,n)) f([m,n]) for all
     m, n <= window.
 
-    f is evaluated at every point of 1..window up front, and the sweep reads
-    those values from that one table. f(lcm) is evaluated only when
+    Each point of 1..window is evaluated at most once, on first use, and
+    read from one table after that. f(lcm) is evaluated only when
     f(gcd) != 0, since the rhs is 0 otherwise; an lcm beyond the window is
     evaluated directly (ArithFn is total, so no truncation happens). Pairs
     where {gcd, lcm} equals {m, n} hold trivially and are skipped.
@@ -322,8 +365,8 @@ def check_rearick(f: ArithFn, window: int) -> ClassReport:
     pairs = (
         (m, n) for m in range(1, window + 1) for n in range(m + 1, window + 1) if n % m
     )
-    values = _WindowValues(f, window)
-    return _report(REARICK, window, _sweep(values.__getitem__, LAW_REARICK, pairs))
+    values = _WindowValues(f, window).__getitem__
+    return _report(REARICK, window, _sweep(values, LAW_REARICK, pairs))
 
 
 @dataclass(eq=False)

@@ -75,6 +75,8 @@ def test_traced_layers_see_the_checkers(tracer):
     for module, names in CHECKERS.items():
         for name in names:
             assert metrics[f"{module}.{name}.s"] > 0, f"{module}.{name}"
-    assert metrics["classes.coprime_pairs.pairs"] > 0
+    # two splits per product with two or more prime factors, one otherwise:
+    # 100 for N <= 64, in each of the three coprime-pair sweeps
+    assert metrics["classes.coprime_pairs.pairs"] == 300
     assert metrics["arith.eval.calls"] > 0
     assert metrics["multivar.eval.calls"] > 0

@@ -2,26 +2,40 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multclass import numtheory as nt
 from multclass.arith import ArithFn, classical, dirichlet, pointwise_product, scale
 from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
+    LAW_MULT,
+    LAW_QUASI,
+    LAW_SHIFTED,
+    LAW_SUPPORT,
+    LAW_UNIT,
     MULTIPLICATIVE,
     QUASIMULTIPLICATIVE,
     REFUTED,
     SELBERG,
     SEMIMULTIPLICATIVE,
+    ClassReport,
+    _least_support,
+    _report,
+    _splits,
+    _sweep,
     check_multiplicative,
     check_quasimultiplicative,
     check_rearick,
     check_semimultiplicative,
     classify_all,
+    coprime_pairs,
     extract_selberg,
     recheck_witness,
 )
 from multclass.corpus import corpus
+from multclass.multivar import classify_all_u, tensor
 from multclass.ramanujan import c_bar_fn, c_fn, mu_bar_fn
 
 mobius = classical("mobius")
@@ -197,3 +211,148 @@ def test_shifted_law_on_semimultiplicative():
         for n in range(1, 12):
             if math.gcd(m, n) == 1 and a * m * n <= 96:
                 assert f(a) * f(a * m * n) == f(a * m) * f(a * n), (m, n)
+
+
+def every_split(bound):
+    """Every ordered coprime pair (m, n) with m*n <= bound, by (m*n, m): the
+    full sweep that the two-split coprime_pairs replaces."""
+    return (pair for prod in range(1, bound + 1) for pair in _splits(prod))
+
+
+def full_sweep_reports(f, window):
+    """The multiplicative, quasimultiplicative and semimultiplicative
+    reports as a sweep over every coprime split gives them."""
+    mult = _report(MULTIPLICATIVE, window, _sweep(f, LAW_MULT, every_split(window)))
+    k = _least_support(f, range(1, window + 1))
+    if k is None:
+        return (
+            mult,
+            ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window),
+            ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window),
+        )
+    w = _sweep(f, LAW_UNIT, [(1, k)])
+    if w is not None:
+        quasi = _report(QUASIMULTIPLICATIVE, window, w)
+    else:
+        w = _sweep(f, LAW_QUASI, every_split(window), c=f(1))
+        quasi = _report(QUASIMULTIPLICATIVE, window, w, c=f(1))
+    w = _sweep(f, LAW_SUPPORT, ((k, n) for n in range(k + 1, window + 1)), a=k)
+    if w is None:
+        w = _sweep(f, LAW_SHIFTED, every_split(window // k), c=f(k), a=k)
+        semi = _report(SEMIMULTIPLICATIVE, window, w, c=f(k), a=k)
+    else:
+        semi = _report(SEMIMULTIPLICATIVE, window, w, a=k)
+    return mult, quasi, semi
+
+
+def coprime_reports(f, window):
+    return (
+        check_multiplicative(f, window),
+        check_quasimultiplicative(f, window),
+        check_semimultiplicative(f, window),
+    )
+
+
+def report_fields(rep):
+    w = rep.witness
+    seen = None if w is None else (w.m, w.n, w.lhs, w.rhs, w.law, w.shift)
+    return rep.klass, rep.verdict, rep.c, rep.a, rep.reason, seen
+
+
+def test_coprime_checkers_match_the_full_sweep_on_the_corpus():
+    for f in corpus():
+        got = [report_fields(r) for r in coprime_reports(f, 64)]
+        assert got == [report_fields(r) for r in full_sweep_reports(f, 64)], f.name
+
+
+VALUES = st.sampled_from([0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def near_members(draw):
+    """C * prod_p F_p(nu_p(n / a)) on the multiples of a, else 0, with
+    random columns for p <= 7 and F_p(e) = tail**e past 7; then f(1) may be
+    overridden and up to three window values changed."""
+    window = draw(st.integers(1, 150))
+    changes = {}
+    one = draw(st.sampled_from([None, 0, 2, Fraction(1, 2)]))
+    if one is not None:
+        changes[1] = one
+    for _ in range(draw(st.integers(0, 3))):
+        changes[draw(st.integers(1, window))] = draw(VALUES)
+    return dict(
+        window=window,
+        C=draw(st.sampled_from([1, 2, Fraction(3, 2), -1])),
+        a=draw(st.sampled_from([1, 2, 3, 4, 6])),
+        columns={p: draw(st.lists(VALUES, min_size=1, max_size=7)) for p in (2, 3, 5, 7)},
+        tail=draw(VALUES),
+        changes=changes,
+    )
+
+
+def build_near_member(window, C, a, columns, tail, changes):
+    def factor(p, e):
+        col = columns.get(p)
+        return tail**e if col is None else col[min(e, len(col)) - 1]
+
+    def member(n):
+        if n % a:
+            return 0
+        value = C
+        for p, e in nt.factorize(n // a):
+            value *= factor(p, e)
+        return value
+
+    return ArithFn("near", lambda n: changes[n] if n in changes else member(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_members())
+def test_coprime_checkers_match_the_full_sweep(spec):
+    f = build_near_member(**spec)
+    got = [report_fields(r) for r in coprime_reports(f, spec["window"])]
+    assert got == [report_fields(r) for r in full_sweep_reports(f, spec["window"])]
+
+
+@pytest.mark.parametrize("window, count", [(1, 1), (64, 100), (16384, 30806)])
+def test_coprime_pairs_yields_two_splits_per_composite_product(window, count):
+    several = sum(1 for n in range(1, window + 1) if nt.omega(n) >= 2)
+    assert sum(1 for _ in coprime_pairs(window)) == window + several == count
+
+
+def raising_past(bound, fn):
+    def guarded(n):
+        if n > bound:
+            raise ValueError(f"evaluated at {n}")
+        return fn(n)
+
+    return ArithFn(f"guarded:{bound}", guarded)
+
+
+def test_multiplicative_evaluates_only_up_to_the_first_failure():
+    f = raising_past(10, lambda n: 2 if n == 1 else n)
+    rep = check_multiplicative(f, 1000)
+    assert rep.verdict == REFUTED
+    assert (rep.witness.m, rep.witness.n) == (1, 1)
+
+
+def test_rearick_evaluates_only_up_to_the_first_failure():
+    rep = check_rearick(raising_past(6, lambda n: n + 1), 20)
+    assert rep.verdict == REFUTED
+    w = rep.witness
+    assert (w.m, w.n, w.lhs, w.rhs) == (2, 3, 12, 14)
+
+
+@pytest.mark.parametrize("window", [True, 10.0, "10", 0])
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda w: classify_all(phi, w),
+        lambda w: check_rearick(phi, w),
+        lambda w: classify_all_u(tensor(mobius, phi), w),
+    ],
+    ids=["classify_all", "check_rearick", "classify_all_u"],
+)
+def test_windows_must_be_positive_integers(check, window):
+    with pytest.raises(ValueError, match="window must be a positive integer"):
+        check(window)
