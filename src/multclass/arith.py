@@ -57,10 +57,6 @@ class ArithFn:
             raise ValueError(f"{self.name} is defined on positive integers, got {n!r}")
         return self._eval(n)
 
-    def table(self, upper: int) -> list[Rational]:
-        """Values at 1..upper; bulk form used by sweeps and the CLI."""
-        return [self(n) for n in range(1, upper + 1)]
-
     def __repr__(self) -> str:
         return f"ArithFn({self.name})"
 

@@ -21,17 +21,21 @@ lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. The
 one-variable coprime sweep checks two splits per product, which finds the
 least failing product (see coprime_pairs), then scans that product's splits
 by m.
+One factor-system type, SelbergFactorization, and one extractor,
+extract_selberg, serve every arity, with int or tuple points alike.
+
 Checkers only read their input function, hence are safe to run
 concurrently.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import numtheory as nt
 from .arith import ArithFn, Rational
@@ -209,10 +213,10 @@ def recheck_witness(f: Callable, w: Witness) -> bool:
 class ClassReport:
     """Outcome of one class check over one window, in any arity.
 
-    forcing lists the support points that forced a multivariable shift;
-    selberg, factorization and system carry the factor data the one-variable
-    Selberg row, the multivariable semimultiplicative row and the
-    multivariable Selberg row extract."""
+    forcing lists the support points that forced a multivariable shift.
+    selberg (one-variable Selberg row) and factorization (multivariable
+    semimultiplicative row) both hold a SelbergFactorization, under two JSON
+    keys; system holds the multivariable Selberg row's SelbergSystem."""
 
     klass: str
     verdict: str
@@ -225,7 +229,7 @@ class ClassReport:
     arity: int = 1
     forcing: tuple = ()
     system: "Optional[SelbergSystem]" = None
-    factorization: "Optional[MultiSelbergFactorization]" = None
+    factorization: "Optional[SelbergFactorization]" = None
 
     @property
     def consistent(self) -> bool:
@@ -369,46 +373,61 @@ def check_rearick(f: ArithFn, window: int) -> ClassReport:
     return _report(REARICK, window, _sweep(values, LAW_REARICK, pairs))
 
 
+# A point, a shift or an exponent as coordinates, and coordinates back in
+# the shape of a point: an int in one variable, a tuple in several.
+def _coords(pt: AnyPoint) -> tuple[int, ...]:
+    return (pt,) if isinstance(pt, int) else tuple(pt)
+
+
+def _like(pt: AnyPoint, coords: Sequence[int]) -> AnyPoint:
+    return coords[0] if isinstance(pt, int) else tuple(coords)
+
+
 @dataclass(eq=False)
 class SelbergFactorization:
-    """Leading constant f(a) plus per-prime factor columns F_p(e).
+    """Leading constant f(a) plus per-prime factor columns F_p(e), in any
+    arity: a, points and exponents are ints in one variable, else tuples.
 
-    Stored columns cover every exponent whose probe point a*p^(e - nu_p(a))
-    fits inside the window; factor() computes anything further on demand
-    from the source function. Primes absent from the tables behave as
-    F_p(0) = 1 columns.
+    Stored columns cover every e whose probe point a_i p^(e_i - nu_p(a_i))
+    fits in the window; factor() computes anything further on demand from
+    the source function. Primes absent from the tables behave as F_p(0) = 1.
     """
 
     constant: Rational
-    a: int
+    a: AnyPoint
     window: int
-    tables: dict[int, dict[int, Fraction]]
-    source: ArithFn
+    tables: dict[int, dict[AnyPoint, Fraction]]
+    source: Callable
 
-    def factor(self, p: int, e: int) -> Fraction:
+    def factor(self, p: int, e: AnyPoint) -> Fraction:
         col = self.tables.get(p)
         if col is not None and e in col:
             return col[e]
-        na = nt.nu(p, self.a)
-        if e < na:
-            return Fraction(0)
-        return Fraction(self.source(self.a * p ** (e - na))) / Fraction(self.constant)
+        probe = []
+        for ai, ei in zip(_coords(self.a), _coords(e)):
+            na = nt.nu(p, ai)
+            if ei < na:
+                return Fraction(0)
+            probe.append(ai * p ** (ei - na))
+        return Fraction(self.source(_like(self.a, probe))) / Fraction(self.constant)
 
-    def reconstruct(self, n: int) -> Fraction:
-        """constant * product of F_p(nu_p(n)) over the relevant primes."""
+    def reconstruct(self, pt: AnyPoint) -> Fraction:
+        """constant * product of F_p(nu_p(pt)) over the relevant primes."""
+        coords = _coords(pt)
+        ps = {p for x in coords + _coords(self.a) for p in nt.factorize(x).primes()}
         val = Fraction(self.constant)
-        ps = sorted(set(nt.factorize(n).primes()) | set(nt.factorize(self.a).primes()))
-        for p in ps:
-            val *= self.factor(p, nt.nu(p, n))
+        for p in sorted(ps):
+            val *= self.factor(p, _like(pt, [nt.nu(p, x) for x in coords]))
         return val
 
 
 def extract_selberg(
-    f: ArithFn, window: int, report: Optional[ClassReport] = None
+    f: Callable, window: int, report: Optional[ClassReport] = None
 ) -> SelbergFactorization:
     """Read the per-prime factor system off a window-consistent
-    semimultiplicative function: F_p(e) = f(a p^(e - nu_p(a))) / f(a), with
-    value 0 for e < nu_p(a)."""
+    semimultiplicative function of any arity: F_p(e) = f(probe) / f(a) with
+    probe_i = a_i p^(e_i - nu_p(a_i)), and F_p(e) = 0 as soon as one e_i
+    drops below nu_p(a_i). The report defaults to the one-variable check."""
     rep = report if report is not None else check_semimultiplicative(f, window)
     if rep.verdict != CONSISTENT:
         raise ValueError(
@@ -416,23 +435,28 @@ def extract_selberg(
             f"(verdict {rep.verdict})"
         )
     assert rep.a is not None and rep.c is not None
-    a, fa = rep.a, rep.c
-    tables: dict[int, dict[int, Fraction]] = {}
+    a, c = rep.a, Fraction(rep.c)
+    one_var = isinstance(a, int)
+    tables: dict[int, dict[AnyPoint, Fraction]] = {}
     for p in nt.primes_up_to(window):
-        na = nt.nu(p, a)
-        col: dict[int, Fraction] = {}
-        e = 0
-        while True:
-            if e < na:
-                col[e] = Fraction(0)
+        axes = []  # per coordinate, the probe by exponent: None below nu_p(a_i)
+        for ai in _coords(a):
+            axes.append([None] * nt.nu(p, ai))
+            while ai <= window:
+                axes[-1].append(ai)
+                ai *= p
+        exponents = itertools.product(*(range(len(axis)) for axis in axes))
+        col: dict[AnyPoint, Fraction] = {}
+        for e, probe in zip(exponents, itertools.product(*axes)):
+            key, pt = (e[0], probe[0]) if one_var else (e, probe)
+            if None in probe:
+                col[key] = Fraction(0)
+            elif pt == a:
+                col[key] = Fraction(1)  # f(a) / c with c = f(a)
             else:
-                probe = a * p ** (e - na)
-                if probe > window:
-                    break
-                col[e] = Fraction(f(probe)) / Fraction(fa)
-            e += 1
+                col[key] = Fraction(f(pt)) / c
         tables[p] = col
-    return SelbergFactorization(fa, a, window, tables, f)
+    return SelbergFactorization(rep.c, a, window, tables, f)
 
 
 def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:

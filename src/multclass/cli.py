@@ -26,6 +26,7 @@ from typing import Optional, Sequence, Union
 from . import ramanujan as rj
 from .arith import (
     ArithFn,
+    _COMPOSE_TOKEN,
     classical,
     compose,
     dirichlet,
@@ -71,14 +72,9 @@ class FnSpecError(ValueError):
 _IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_-")
 _PARAM_CHARS = frozenset("0123456789-/")
 
-_UNARY = ("scale", "dilate", "kovern", "noverk", "gcdk", "lcmk")
-_UNARY_KIND = {
-    "dilate": "dilate_kn",
-    "kovern": "k_over_n",
-    "noverk": "n_over_k",
-    "gcdk": "gcd_k",
-    "lcmk": "lcm_k",
-}
+# spec token -> compose kind, the inverse of the tokens compose puts in names
+_UNARY_KIND = {token: kind for kind, token in _COMPOSE_TOKEN.items()}
+_UNARY = ("scale", *_UNARY_KIND)
 _BINARY = ("dirichlet", "product", "unitary", "tensor")
 
 Fn = Union[ArithFn, MultiArithFn]

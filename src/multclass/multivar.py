@@ -7,7 +7,9 @@ products of the coordinates. The laws are entries of classes.LAWS
 (LAW_*_U and LAW_FORCED_SHIFT), and the checkers here run them through the
 same sweep as the one-variable checkers, over tuple points; witnesses and
 reports are the classes module's Witness and ClassReport, and
-recheck_multi_witness is classes.recheck_witness.
+recheck_multi_witness is classes.recheck_witness. The shift-based factor
+system is classes.SelbergFactorization with tuple points, read off by
+classes.extract_selberg.
 
 In several variables the Selberg class is strictly larger than the
 semimultiplicative class, so deciding Selberg membership cannot go through
@@ -47,6 +49,7 @@ from .classes import (
     SELBERG,
     SEMIMULTIPLICATIVE,
     ClassReport,
+    SelbergFactorization,
     Witness,
     _least_support,
     _pmul,
@@ -54,11 +57,14 @@ from .classes import (
     _require_window,
     _sweep,
     check_multiplicative,
+    extract_selberg,
     recheck_witness,
 )
 
-# One recheck serves every arity; the name stays for existing callers.
+# One recheck and one factor-system type serve every arity; the names stay
+# for existing callers.
 recheck_multi_witness = recheck_witness
+MultiSelbergFactorization = SelbergFactorization
 
 Point = tuple[int, ...]
 
@@ -211,68 +217,9 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, **known)
 
 
-@dataclass(eq=False)
-class MultiSelbergFactorization:
-    """Shift-based factor system read off a semimultiplicative function."""
-
-    constant: Rational
-    a: Point
-    window: int
-    tables: dict[int, dict[Point, Fraction]]
-    source: MultiArithFn
-
-    def factor(self, p: int, evec: Point) -> Fraction:
-        col = self.tables.get(p)
-        if col is not None and evec in col:
-            return col[evec]
-        nas = tuple(nt.nu(p, ai) for ai in self.a)
-        if any(e < na for e, na in zip(evec, nas)):
-            return Fraction(0)
-        probe = tuple(ai * p ** (e - na) for ai, e, na in zip(self.a, evec, nas))
-        return Fraction(self.source(probe)) / Fraction(self.constant)
-
-    def reconstruct(self, pt: Point) -> Fraction:
-        val = Fraction(self.constant)
-        ps: set[int] = set()
-        for x in tuple(pt) + self.a:
-            ps.update(nt.factorize(x).primes())
-        for p in sorted(ps):
-            evec = tuple(nt.nu(p, x) for x in pt)
-            val *= self.factor(p, evec)
-        return val
-
-
-def extract_selberg_u(
-    f: MultiArithFn, window: int, report: Optional[ClassReport] = None
-) -> MultiSelbergFactorization:
-    """Per-prime tables F_p(e) = f(a_i p^(e_i - nu_p(a_i)))/f(a), with value 0
-    as soon as one exponent drops below nu_p(a_i)."""
-    rep = report if report is not None else check_semimultiplicative_u(f, window)
-    if rep.verdict != CONSISTENT:
-        raise ValueError(
-            f"{f.name} is not semimultiplicative-consistent on window {window} "
-            f"(verdict {rep.verdict})"
-        )
-    assert rep.a is not None and rep.c is not None
-    avec, c = rep.a, rep.c
-    tables: dict[int, dict[Point, Fraction]] = {}
-    for p in nt.primes_up_to(window):
-        nas = tuple(nt.nu(p, ai) for ai in avec)
-        ranges = []
-        for ai, na in zip(avec, nas):
-            top = na
-            while ai * p ** (top + 1 - na) <= window:
-                top += 1
-            ranges.append(range(0, top + 1))
-        col: dict[Point, Fraction] = {}
-        for evec in itertools.product(*ranges):
-            if any(e < na for e, na in zip(evec, nas)):
-                col[evec] = Fraction(0)
-            else:
-                probe = tuple(ai * p ** (e - na) for ai, e, na in zip(avec, evec, nas))
-                col[evec] = Fraction(f(probe)) / Fraction(c)
-        tables[p] = col
-    return MultiSelbergFactorization(c, avec, window, tables, f)
+def extract_selberg_u(f: MultiArithFn, window: int, report: Optional[ClassReport] = None):
+    """classes.extract_selberg, with the multivariable check as the default report."""
+    return extract_selberg(f, window, report or check_semimultiplicative_u(f, window))
 
 
 def _signature(p: int, pt: Point) -> Point:

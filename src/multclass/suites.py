@@ -16,6 +16,7 @@ from . import numtheory as nt
 from . import ramanujan as rj
 from .arith import (
     COMPOSE_KINDS,
+    Rational,
     compose,
     dirichlet,
     eta,
@@ -30,6 +31,10 @@ from .arith import (
 from .classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
+    LAW_QUASI,
+    _WindowValues,
+    _require_window,
+    _sweep,
     check_multiplicative,
     check_quasimultiplicative,
     check_rearick,
@@ -107,14 +112,8 @@ def suite_selberg_reconstruct(window: int) -> SuiteResult:
             checks.append(Check(mf.name, False, f"unexpected verdict {rep.verdict}"))
             continue
         fac = extract_selberg_u(mf, uw, report=rep)
-        bad = next(
-            (
-                pt
-                for pt in itertools.product(range(1, uw + 1), repeat=mf.arity)
-                if fac.reconstruct(pt) != mf(pt)
-            ),
-            None,
-        )
+        pts = itertools.product(range(1, uw + 1), repeat=mf.arity)
+        bad = next((pt for pt in pts if fac.reconstruct(pt) != mf(pt)), None)
         checks.append(
             Check(mf.name, bad is None, "reconstructed" if bad is None else f"mismatch at {bad}")
         )
@@ -151,55 +150,33 @@ def suite_unitary_identity(window: int) -> SuiteResult:
             Check(f"unitary:r={r}", bad is None, "" if bad is None else f"mismatch at n={bad}")
         )
     for r in range(1, min(window, 64) + 1):
-        twist = pointwise_product(eta(r), compose(mobius, "k_over_n", r))
-        conv = dirichlet(twist, one)
-        bad = next((n for n in range(1, 4 * r + 1) if conv(n) != rj.c(r, n)), None)
-        checks.append(
-            Check(f"conv-n:c:r={r}", bad is None, "" if bad is None else f"mismatch at n={bad}")
-        )
-        twist_bar = pointwise_product(eta(r), compose(rj.mu_bar_fn(r), "k_over_n", r))
-        conv_bar = dirichlet(twist_bar, one)
-        bad = next((n for n in range(1, 4 * r + 1) if conv_bar(n) != rj.c_bar(r, n)), None)
-        checks.append(
-            Check(
-                f"conv-n:c_bar:r={r}", bad is None, "" if bad is None else f"mismatch at n={bad}"
-            )
-        )
+        for label, mu_r, family in (("c", mobius, rj.c), ("c_bar", rj.mu_bar_fn(r), rj.c_bar)):
+            conv = dirichlet(pointwise_product(eta(r), compose(mu_r, "k_over_n", r)), one)
+            bad = next((n for n in range(1, 4 * r + 1) if conv(n) != family(r, n)), None)
+            detail = "" if bad is None else f"mismatch at n={bad}"
+            checks.append(Check(f"conv-n:{label}:r={r}", bad is None, detail))
     return SuiteResult("unitary-identity", window, checks)
+
+
+def quasi_failure(f: Callable, const: Rational, window: int) -> str:
+    """LAW_QUASI with the given constant over coprime m, n <= window: ""
+    when it holds, else "fails at (m, n)" at the lexicographically least
+    failing pair. Every value read, m*n included, is kept for the sweep."""
+    ms = range(1, window + 1)
+    box = ((m, n) for m in ms for n in ms if math.gcd(m, n) == 1)
+    w = _sweep(_WindowValues(f, window * window).__getitem__, LAW_QUASI, box, c=const)
+    return "" if w is None else f"fails at ({w.m}, {w.n})"
 
 
 def suite_quasi_identities(window: int) -> SuiteResult:
     """c_r(m)c_r(n) = mu(r) c_r(mn) and the c_bar analogue with the
-    squareful indicator, for coprime m, n."""
+    squareful indicator, for coprime m, n <= window. The constants are the
+    paper's, not read off f(1)."""
     checks = []
-    for r in range(1, window + 1):
-        mu_r = mobius(r)
-        bad = None
-        for m in range(1, window + 1):
-            for n in range(1, window + 1):
-                if math.gcd(m, n) != 1:
-                    continue
-                if rj.c(r, m) * rj.c(r, n) != mu_r * rj.c(r, m * n):
-                    bad = (m, n)
-                    break
-            if bad:
-                break
-        checks.append(Check(f"c:r={r}", bad is None, "" if bad is None else f"fails at {bad}"))
-    for r in range(1, window + 1):
-        ind = rj.mu_bar_indicator(r)
-        bad = None
-        for m in range(1, window + 1):
-            for n in range(1, window + 1):
-                if math.gcd(m, n) != 1:
-                    continue
-                if rj.c_bar(r, m) * rj.c_bar(r, n) != ind * rj.c_bar(r, m * n):
-                    bad = (m, n)
-                    break
-            if bad:
-                break
-        checks.append(
-            Check(f"c_bar:r={r}", bad is None, "" if bad is None else f"fails at {bad}")
-        )
+    for label, fn, const in (("c", rj.c_fn, mobius), ("c_bar", rj.c_bar_fn, rj.mu_bar_indicator)):
+        for r in range(1, window + 1):
+            detail = quasi_failure(fn(r), const(r), window)
+            checks.append(Check(f"{label}:r={r}", not detail, detail))
     return SuiteResult("quasi-identities", window, checks)
 
 
@@ -262,26 +239,23 @@ def suite_closure_properties(window: int) -> SuiteResult:
     w = min(window, 48)
     checks = []
 
-    inv = dirichlet(mobius, one)
-    bad = next((n for n in range(1, w + 1) if inv(n) != (1 if n == 1 else 0)), None)
-    checks.append(Check("mobius-inversion", bad is None, "" if bad is None else f"at n={bad}"))
-
-    ab = dirichlet(mobius, euler_phi)
-    ba = dirichlet(euler_phi, mobius)
-    bad = next((n for n in range(1, w + 1) if ab(n) != ba(n)), None)
-    checks.append(Check("dirichlet-commutes", bad is None, "" if bad is None else f"at n={bad}"))
-    left = dirichlet(dirichlet(mobius, euler_phi), one)
-    right = dirichlet(mobius, dirichlet(euler_phi, one))
-    bad = next((n for n in range(1, w + 1) if left(n) != right(n)), None)
-    checks.append(Check("dirichlet-associates", bad is None, "" if bad is None else f"at n={bad}"))
-    uab = unitary(mobius, euler_phi)
-    uba = unitary(euler_phi, mobius)
-    bad = next((n for n in range(1, w + 1) if uab(n) != uba(n)), None)
-    checks.append(Check("unitary-commutes", bad is None, "" if bad is None else f"at n={bad}"))
-    uleft = unitary(unitary(mobius, euler_phi), one)
-    uright = unitary(mobius, unitary(euler_phi, one))
-    bad = next((n for n in range(1, w + 1) if uleft(n) != uright(n)), None)
-    checks.append(Check("unitary-associates", bad is None, "" if bad is None else f"at n={bad}"))
+    for name, lhs, rhs in (
+        ("mobius-inversion", dirichlet(mobius, one), lambda n: 1 if n == 1 else 0),
+        ("dirichlet-commutes", dirichlet(mobius, euler_phi), dirichlet(euler_phi, mobius)),
+        (
+            "dirichlet-associates",
+            dirichlet(dirichlet(mobius, euler_phi), one),
+            dirichlet(mobius, dirichlet(euler_phi, one)),
+        ),
+        ("unitary-commutes", unitary(mobius, euler_phi), unitary(euler_phi, mobius)),
+        (
+            "unitary-associates",
+            unitary(unitary(mobius, euler_phi), one),
+            unitary(mobius, unitary(euler_phi, one)),
+        ),
+    ):
+        bad = next((n for n in range(1, w + 1) if lhs(n) != rhs(n)), None)
+        checks.append(Check(name, bad is None, "" if bad is None else f"at n={bad}"))
 
     rep = check_multiplicative(dirichlet(mobius, euler_phi), w)
     checks.append(Check("dirichlet-multiplicative", rep.verdict == CONSISTENT, rep.verdict))
@@ -335,6 +309,7 @@ SUITES: dict[str, Callable[[int], SuiteResult]] = {
 def run_suite(name: str, window: int) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
+    _require_window(window)
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
     return SUITES[name](window)

@@ -28,10 +28,10 @@ WINDOW = 200
 
 
 def test_classical_tables():
-    assert mobius.table(10) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
-    assert phi.table(10) == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
-    assert one.table(4) == [1, 1, 1, 1]
-    assert identity_n.table(4) == [1, 2, 3, 4]
+    assert [mobius(n) for n in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    assert [phi(n) for n in range(1, 11)] == [1, 1, 2, 2, 4, 2, 6, 4, 6, 4]
+    assert [one(n) for n in range(1, 5)] == [1, 1, 1, 1]
+    assert [identity_n(n) for n in range(1, 5)] == [1, 2, 3, 4]
 
 
 def test_arithfn_rejects_bad_arguments():
@@ -87,7 +87,7 @@ def test_pointwise_product():
 
 def test_scale():
     f = scale(mobius, 2)
-    assert f.table(6) == [2, -2, -2, 0, -2, 2]
+    assert [f(n) for n in range(1, 7)] == [2, -2, -2, 0, -2, 2]
     g = scale(phi, Fraction(-3, 2))
     assert g(4) == -3
     assert g(5) == -6

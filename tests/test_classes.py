@@ -37,6 +37,7 @@ from multclass.classes import (
 from multclass.corpus import corpus
 from multclass.multivar import classify_all_u, tensor
 from multclass.ramanujan import c_bar_fn, c_fn, mu_bar_fn
+from multclass.suites import run_suite
 
 mobius = classical("mobius")
 phi = classical("euler_phi")
@@ -350,8 +351,18 @@ def test_rearick_evaluates_only_up_to_the_first_failure():
         lambda w: classify_all(phi, w),
         lambda w: check_rearick(phi, w),
         lambda w: classify_all_u(tensor(mobius, phi), w),
+        lambda w: run_suite("mu-bar-dual", w),
+        lambda w: run_suite("quasi-identities", w),
+        lambda w: run_suite("lahiri-rs", w),
     ],
-    ids=["classify_all", "check_rearick", "classify_all_u"],
+    ids=[
+        "classify_all",
+        "check_rearick",
+        "classify_all_u",
+        "mu-bar-dual",
+        "quasi-identities",
+        "lahiri-rs",
+    ],
 )
 def test_windows_must_be_positive_integers(check, window):
     with pytest.raises(ValueError, match="window must be a positive integer"):

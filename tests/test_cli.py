@@ -5,6 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from multclass.arith import COMPOSE_KINDS, classical, compose
 from multclass.cli import FnSpecError, parse_fn_spec, run
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -180,6 +181,12 @@ def test_parse_fn_spec_shapes():
     assert parse_fn_spec("gcdk:12(phi)").name == "gcdk:12(phi)"
     assert parse_fn_spec("tensor(mobius, phi)").arity == 2
     assert parse_fn_spec("scale:-3/2(phi)")(4) == -3
+
+
+@pytest.mark.parametrize("kind", COMPOSE_KINDS)
+def test_compose_names_round_trip(kind):
+    name = compose(classical("phi"), kind, 3).name
+    assert parse_fn_spec(name).name == name
 
 
 def test_parse_fn_spec_errors():

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+import multclass
 from multclass.arith import classical, scale
 from multclass.classes import (
     CONSISTENT,
@@ -28,7 +29,7 @@ from multclass.multivar import (
     selberg_not_semimultiplicative,
     tensor,
 )
-from multclass.ramanujan import c_bar_two_var, c_two_var
+from multclass.ramanujan import c_bar_fn, c_bar_two_var, c_fn, c_two_var
 
 mobius = classical("mobius")
 phi = classical("euler_phi")
@@ -162,6 +163,20 @@ def test_extract_selberg_u_reconstructs_beyond_window():
     fac = extract_selberg_u(t, 10)
     assert fac.constant == 2
     assert fac.reconstruct((25, 4)) == t((25, 4))
+
+
+def test_extract_selberg_u_arity_three():
+    t = tensor(c_fn(4), phi, c_bar_fn(12))
+    fac = extract_selberg_u(t, 6)
+    assert fac.a == (2, 1, 3)
+    assert fac.constant == t((2, 1, 3))
+    for pt in product(range(1, 7), repeat=3):
+        assert fac.reconstruct(pt) == t(pt), pt
+    assert fac.reconstruct((8, 7, 36)) == t((8, 7, 36))
+
+
+def test_one_factor_system_type():
+    assert multclass.MultiSelbergFactorization is multclass.SelbergFactorization
 
 
 def test_selberg_system_gauge_check():

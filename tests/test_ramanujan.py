@@ -1,8 +1,11 @@
 import cmath
 import math
+from fractions import Fraction
+
+import pytest
 
 from multclass import numtheory as nt
-from multclass.arith import classical, compose, dirichlet, eta, one, pointwise_product
+from multclass.arith import ArithFn, classical, compose, dirichlet, eta, one, pointwise_product
 from multclass.classes import CONSISTENT, check_multiplicative, check_semimultiplicative
 from multclass.ramanujan import (
     c,
@@ -20,6 +23,7 @@ from multclass.ramanujan import (
     semimult_params_c,
     semimult_params_c_bar,
 )
+from multclass.suites import quasi_failure
 
 mobius = classical("mobius")
 
@@ -229,3 +233,43 @@ def test_quasi_identity_families():
                     continue
                 assert c(r, m) * c(r, n) == mur * c(r, m * n), (r, m, n)
                 assert c_bar(r, m) * c_bar(r, n) == mbr * c_bar(r, m * n), (r, m, n)
+
+
+def nested_quasi_detail(f, const, window):
+    """The quasi-identities suite's former inline check, kept as the oracle."""
+    for m in range(1, window + 1):
+        for n in range(1, window + 1):
+            if math.gcd(m, n) != 1:
+                continue
+            if f(m) * f(n) != const * f(m * n):
+                return f"fails at {(m, n)}"
+    return ""
+
+
+def changed_at(f, point, value):
+    return ArithFn(f"{f.name}@{point}", lambda n: value if n == point else f(n))
+
+
+@pytest.mark.parametrize(
+    "fn, const", [(c_fn, mobius), (c_bar_fn, mu_bar_indicator)], ids=["c", "c_bar"]
+)
+def test_quasi_failure_matches_the_nested_loop(fn, const):
+    window = 12
+    details = []
+    for r in (1, 2, 4, 6, 8, 9, 12):
+        f, k = fn(r), const(r)
+        cases = [(f, k)]
+        cases += [(f, wrong) for wrong in (k + 1, -k - 1, 2 * k - 1, Fraction(1, 2))]
+        cases += [(changed_at(f, point, f(point) + 3), k) for point in (1, 6, 12, 35, 77)]
+        for g, cc in cases:
+            detail = quasi_failure(g, cc, window)
+            assert detail == nested_quasi_detail(g, cc, window), (g.name, cc)
+            details.append(detail)
+    assert details[0] == ""
+    assert sum(1 for d in details if d) > len(details) // 2
+
+
+def test_quasi_failure_details():
+    assert quasi_failure(c_fn(6), mobius(6), 20) == ""
+    assert quasi_failure(c_fn(6), -1, 20) == "fails at (1, 1)"
+    assert quasi_failure(changed_at(c_fn(6), 35, 7), 1, 8) == "fails at (5, 7)"
