@@ -37,20 +37,17 @@ def format_rational(v: Rational) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+MEMO_SIZE = 1 << 17  # values kept per memoized function
+
+
 class ArithFn:
     """A named total function on positive integers with exact values."""
 
     __slots__ = ("name", "_eval")
 
-    def __init__(
-        self,
-        name: str,
-        fn: Callable[[int], Rational],
-        memo: bool = True,
-        memo_size: int = 1 << 17,
-    ):
+    def __init__(self, name: str, fn: Callable[[int], Rational], memo: bool = True):
         self.name = name
-        self._eval = lru_cache(maxsize=memo_size)(fn) if memo else fn
+        self._eval = lru_cache(maxsize=MEMO_SIZE)(fn) if memo else fn
 
     def __call__(self, n: int) -> Rational:
         if not isinstance(n, int) or n < 1:
@@ -75,6 +72,7 @@ identity_n = ArithFn("identity", lambda n: n, memo=False)
 
 _CLASSICAL = {
     "mobius": mobius,
+    "mu": mobius,
     "euler_phi": euler_phi,
     "phi": euler_phi,
     "one": one,
@@ -180,19 +178,22 @@ def _square_rep_counts(s: int, upper: int) -> list[int]:
     return counts
 
 
-def sum_of_squares(s: int, budget: int = 20000) -> ArithFn:
+SQUARES_BUDGET = 20000
+
+
+def sum_of_squares(s: int) -> ArithFn:
     """r_s(n): representations of n as an ordered sum of s signed squares.
 
     Counted by exhaustive enumeration; no divisor-sum evaluation is used
-    anywhere. Arguments above `budget` are rejected to keep the enumeration
-    bounded.
+    anywhere. Arguments above SQUARES_BUDGET are rejected to keep the
+    enumeration bounded.
     """
     if s not in (2, 4, 8):
         raise ValueError(f"s must be 2, 4 or 8, got {s}")
 
     def fn(n: int) -> int:
-        if n > budget:
-            raise ValueError(f"r{s} enumeration is budgeted to n <= {budget}, got {n}")
+        if n > SQUARES_BUDGET:
+            raise ValueError(f"r{s} enumeration is budgeted to n <= {SQUARES_BUDGET}, got {n}")
         return _square_rep_counts(s, n)[n]
 
     return ArithFn(f"r{s}", fn, memo=False)

@@ -427,7 +427,10 @@ def extract_selberg(
     """Read the per-prime factor system off a window-consistent
     semimultiplicative function of any arity: F_p(e) = f(probe) / f(a) with
     probe_i = a_i p^(e_i - nu_p(a_i)), and F_p(e) = 0 as soon as one e_i
-    drops below nu_p(a_i). The report defaults to the one-variable check."""
+    drops below nu_p(a_i). The report defaults to the one-variable check,
+    so a multivariable f needs a report or extract_selberg_u."""
+    if report is None and getattr(f, "arity", 1) != 1:
+        raise ValueError(f"{f.name} has arity {f.arity}; use extract_selberg_u or pass a report")
     rep = report if report is not None else check_semimultiplicative(f, window)
     if rep.verdict != CONSISTENT:
         raise ValueError(

@@ -26,8 +26,8 @@ from typing import Optional, Sequence, Union
 from . import ramanujan as rj
 from .arith import (
     ArithFn,
+    _CLASSICAL,
     _COMPOSE_TOKEN,
-    classical,
     compose,
     dirichlet,
     eta,
@@ -76,6 +76,22 @@ _PARAM_CHARS = frozenset("0123456789-/")
 _UNARY_KIND = {token: kind for kind, token in _COMPOSE_TOKEN.items()}
 _UNARY = ("scale", *_UNARY_KIND)
 _BINARY = ("dirichlet", "product", "unitary", "tensor")
+# leaf -> (builder, the flag a bare leaf reads its parameter from); a leaf
+# whose flag is None takes no parameter
+_LEAVES = {
+    **{name: (lambda fn=fn: fn, None) for name, fn in _CLASSICAL.items()},
+    "c": (rj.c_fn, "r"),
+    "c_bar": (rj.c_bar_fn, "r"),
+    "mu_bar": (rj.mu_bar_fn, "r"),
+    "g": (rj.g_fn, "r"),
+    "eta": (eta, "k"),
+    "r2": (lambda: sum_of_squares(2), None),
+    "r4": (lambda: sum_of_squares(4), None),
+    "r8": (lambda: sum_of_squares(8), None),
+    "selberg-not-semi": (selberg_not_semimultiplicative, None),
+    "c-two-var": (rj.c_two_var, None),
+    "c-bar-two-var": (rj.c_bar_two_var, None),
+}
 
 Fn = Union[ArithFn, MultiArithFn]
 
@@ -170,13 +186,7 @@ def _build(node: tuple, r: Optional[int], k: Optional[int]) -> Fn:
             if const == 0:
                 raise FnSpecError("scale: constant must be nonzero")
             return scale(inner, const)
-        try:
-            kk = int(param)
-        except ValueError:
-            raise FnSpecError(f"{name}: parameter {param!r} is not an integer")
-        if kk < 1:
-            raise FnSpecError(f"{name}: parameter must be a positive integer, got {kk}")
-        return compose(inner, _UNARY_KIND[name], kk)
+        return compose(inner, _UNARY_KIND[name], _int_param(name, param, None, "parameter"))
 
     if name in _BINARY:
         if len(args) != 2:
@@ -203,33 +213,14 @@ def _build(node: tuple, r: Optional[int], k: Optional[int]) -> Fn:
     if args:
         raise FnSpecError(f"{name} takes no arguments")
 
-    if name in ("mobius", "mu"):
-        return classical("mobius")
-    if name in ("phi", "euler_phi"):
-        return classical("euler_phi")
-    if name == "one":
-        return classical("one")
-    if name in ("identity", "identity_n"):
-        return classical("identity_n")
-    if name == "c":
-        return rj.c_fn(_int_param(name, param, r, "r"))
-    if name == "c_bar":
-        return rj.c_bar_fn(_int_param(name, param, r, "r"))
-    if name == "mu_bar":
-        return rj.mu_bar_fn(_int_param(name, param, r, "r"))
-    if name == "g":
-        return rj.g_fn(_int_param(name, param, r, "r"))
-    if name == "eta":
-        return eta(_int_param(name, param, k, "k"))
-    if name in ("r2", "r4", "r8"):
-        return sum_of_squares(int(name[1]))
-    if name == "selberg-not-semi":
-        return selberg_not_semimultiplicative()
-    if name == "c-two-var":
-        return rj.c_two_var()
-    if name == "c-bar-two-var":
-        return rj.c_bar_two_var()
-    raise FnSpecError(f"unknown function {name!r}")
+    if name not in _LEAVES:
+        raise FnSpecError(f"unknown function {name!r}")
+    build, flag = _LEAVES[name]
+    if flag is None:
+        if param is not None:
+            raise FnSpecError(f"{name} takes no ':' parameter")
+        return build()
+    return build(_int_param(name, param, {"r": r, "k": k}[flag], flag))
 
 
 def parse_fn_spec(text: str, r: Optional[int] = None, k: Optional[int] = None) -> Fn:

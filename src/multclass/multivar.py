@@ -29,10 +29,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import numtheory as nt
-from .arith import ArithFn, Rational
+from .arith import MEMO_SIZE, ArithFn, Rational
 from .classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
@@ -74,21 +75,12 @@ class MultiArithFn:
 
     __slots__ = ("name", "arity", "_eval")
 
-    def __init__(
-        self,
-        name: str,
-        arity: int,
-        fn: Callable[[Point], Rational],
-        memo: bool = True,
-        memo_size: int = 1 << 17,
-    ):
+    def __init__(self, name: str, arity: int, fn: Callable[[Point], Rational]):
         if arity < 1:
             raise ValueError(f"arity must be at least 1, got {arity}")
         self.name = name
         self.arity = arity
-        from functools import lru_cache
-
-        self._eval = lru_cache(maxsize=memo_size)(fn) if memo else fn
+        self._eval = lru_cache(maxsize=MEMO_SIZE)(fn)
 
     def __call__(self, point: Sequence[int]) -> Rational:
         pt = tuple(point)
@@ -289,23 +281,20 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
         p: {pt: _signature(p, pt) for pt in pts} for p in primes
     }
     achievable: dict[int, set[Point]] = {p: set(sigs[p].values()) for p in primes}
-    alive: dict[int, set[Point]] = {p: set() for p in primes}
+    # owner[p][e]: the first support point whose p-signature is e
+    owner: dict[int, dict[Point, Point]] = {p: {} for p in primes}
     for pt in pts:
         if vals[pt] != 0:
             for p in primes:
-                alive[p].add(sigs[p][pt])
-    zero_sigs = {p: frozenset(achievable[p] - alive[p]) for p in primes}
+                owner[p].setdefault(sigs[p][pt], pt)
+    zero_sigs = {p: frozenset(achievable[p] - owner[p].keys()) for p in primes}
 
     # phase 1: every zero must be explained by some candidate zero signature
     for pt in pts:
         if vals[pt] != 0:
             continue
         if not any(sigs[p][pt] in zero_sigs[p] for p in primes):
-            sharers = []
-            for p in primes:
-                s = sigs[p][pt]
-                owner = next(q for q in pts if vals[q] != 0 and sigs[p][q] == s)
-                sharers.append((p, owner))
+            sharers = [(p, owner[p][sigs[p][pt]]) for p in primes]
             _, owner0 = sharers[0] if sharers else (None, None)
             detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
             return ClassReport(
@@ -327,7 +316,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     known: dict[tuple[int, Point], Fraction] = {}
     anchors: list[tuple[int, Point]] = []
     for p in exceptions[1:]:
-        live = sorted(alive[p])
+        live = sorted(owner[p])
         if live:
             known[(p, live[0])] = Fraction(1)
             anchors.append((p, live[0]))
@@ -438,9 +427,7 @@ class TwoVariableReport:
         return self.hypotheses_ok and self.conclusion.consistent and self.chain_ok
 
 
-def check_two_variable_theorem(
-    f: MultiArithFn, window: int, chain_bound: int = 8
-) -> TwoVariableReport:
+def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableReport:
     """Check the even-times-multiplicative route to two-variable
     multiplicativity for f(n, r), the modulus in the second slot."""
     if f.arity != 2:
@@ -471,7 +458,7 @@ def check_two_variable_theorem(
     conclusion = check_multiplicative_u(f, window)
 
     chain_ok, chain_witness = True, None
-    b = min(chain_bound, window)
+    b = min(window, 8)  # the chain samples quadruples in [1, 8]^4
     for m, r, n, s in itertools.product(range(1, b + 1), repeat=4):
         if math.gcd(m * r, n * s) != 1:
             continue

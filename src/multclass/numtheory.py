@@ -20,9 +20,6 @@ from functools import lru_cache
 DEFAULT_SIEVE_BOUND = 10**6
 SIEVE_BOUND_ENV = "MULTCLASS_SIEVE_BOUND"
 
-gcd = math.gcd
-lcm = math.lcm
-
 
 class SieveBoundError(ValueError):
     """Raised when an input would need primes beyond the sieve bound."""
@@ -92,13 +89,7 @@ def is_prime(n: int) -> bool:
             f"cannot certify primality of {n} with sieve bound {_sieve_bound}; "
             f"set {SIEVE_BOUND_ENV} to raise it"
         )
-    r = math.isqrt(n)
-    for p in _sieve_primes:
-        if p > r:
-            break
-        if n % p == 0:
-            return False
-    return True
+    return factorize(n).pairs == ((n, 1),)
 
 
 @dataclass(frozen=True)
@@ -116,14 +107,6 @@ class Factorization:
         for p, e in self.pairs:
             out *= p**e
         return out
-
-    def nu(self, p: int) -> int:
-        for q, e in self.pairs:
-            if q == p:
-                return e
-            if q > p:
-                return 0
-        return 0
 
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.pairs)

@@ -26,9 +26,13 @@ from .multivar import MultiArithFn
 _TWO_PI = 2.0 * math.pi
 
 
-def _gcd_level(r: int, n: int) -> int:
+def _check_modulus(r: int) -> None:
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"modulus must be a positive integer, got {r!r}")
+
+
+def _gcd_level(r: int, n: int) -> int:
+    _check_modulus(r)
     if not isinstance(n, int):
         raise ValueError(f"argument must be an integer, got {n!r}")
     return math.gcd(abs(n), r)
@@ -56,18 +60,20 @@ def _coprime_residues(r: int) -> tuple[int, ...]:
 
 def c_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_r(n) over the invertible residues."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
+    _check_modulus(r)
     roots = _roots(r)
     return sum(roots[(a * n) % r] for a in _coprime_residues(r))
 
 
-def g(r: int, n: int) -> int:
-    """Characteristic function of the unitary divisors of r."""
+def _check_args(r: int, n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"argument must be a positive integer, got {n!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
+    _check_modulus(r)
+
+
+def g(r: int, n: int) -> int:
+    """Characteristic function of the unitary divisors of r."""
+    _check_args(r, n)
     return 1 if nt.is_unitary_divisor(n, r) else 0
 
 
@@ -78,10 +84,7 @@ def mu_bar(r: int, n: int) -> int:
     -1 at j = 2 and 0 otherwise; for a >= 2 it is -1 at j = 1 and j = a+1,
     +1 at j = a, else 0; for p not dividing r it is plain mu at p^j.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"argument must be a positive integer, got {n!r}")
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
+    _check_args(r, n)
     out = 1
     for p, j in nt.factorize(n):
         a = nt.nu(p, r)
@@ -120,8 +123,7 @@ def _regular(r: int) -> tuple[int, ...]:
 
 def c_bar_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_bar_r(n) over the regular residues."""
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
+    _check_modulus(r)
     roots = _roots(r)
     return sum(roots[(a * n) % r] for a in _regular(r))
 
@@ -141,19 +143,17 @@ class EvenFnProfile:
     witness: Optional[tuple[int, int, Rational, Rational]] = None
 
 
-def even_profile(f: ArithFn, r: int, periods: int = 2) -> EvenFnProfile:
-    """Scan f on [1, periods*r] for r-periodicity and r-evenness."""
+def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
+    """Scan f on [1, 2r] for r-periodicity and r-evenness."""
     if r < 1:
         raise ValueError(f"modulus must be positive, got {r}")
-    if periods < 2:
-        raise ValueError(f"need at least 2 periods, got {periods}")
     periodic, per_witness = True, None
-    for n in range(1, (periods - 1) * r + 1):
+    for n in range(1, r + 1):
         if f(n) != f(n + r):
             periodic, per_witness = False, (n, n + r, f(n), f(n + r))
             break
     even, even_witness = True, None
-    for n in range(1, periods * r + 1):
+    for n in range(1, 2 * r + 1):
         m = math.gcd(n, r)
         if f(n) != f(m):
             even, even_witness = False, (n, m, f(n), f(m))

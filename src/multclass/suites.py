@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from . import numtheory as nt
@@ -75,6 +76,13 @@ class SuiteResult:
         return [c for c in self.checks if not c.ok]
 
 
+def _agree(name: str, lhs, rhs, points, ok: str = "", at: str = "mismatch at n=") -> Check:
+    """lhs and rhs agree at every point; else the detail names the first
+    point, in order, where they differ."""
+    bad = next((x for x in points if lhs(x) != rhs(x)), None)
+    return Check(name, bad is None, ok if bad is None else f"{at}{bad}")
+
+
 def suite_rearick(window: int) -> SuiteResult:
     """The gcd-lcm identity holds exactly for the semimultiplicative corpus
     members (the zero function satisfies it vacuously)."""
@@ -97,10 +105,7 @@ def suite_selberg_reconstruct(window: int) -> SuiteResult:
             checks.append(Check(f.name, True, f"skipped: {rep.verdict}"))
             continue
         fac = extract_selberg(f, window, report=rep)
-        bad = next((n for n in range(1, window + 1) if fac.reconstruct(n) != f(n)), None)
-        checks.append(
-            Check(f.name, bad is None, "reconstructed" if bad is None else f"mismatch at n={bad}")
-        )
+        checks.append(_agree(f.name, fac.reconstruct, f, range(1, window + 1), ok="reconstructed"))
     uw = min(window, 12)
     for mf in (
         tensor(mobius, mobius),
@@ -113,10 +118,7 @@ def suite_selberg_reconstruct(window: int) -> SuiteResult:
             continue
         fac = extract_selberg_u(mf, uw, report=rep)
         pts = itertools.product(range(1, uw + 1), repeat=mf.arity)
-        bad = next((pt for pt in pts if fac.reconstruct(pt) != mf(pt)), None)
-        checks.append(
-            Check(mf.name, bad is None, "reconstructed" if bad is None else f"mismatch at {bad}")
-        )
+        checks.append(_agree(mf.name, fac.reconstruct, mf, pts, "reconstructed", "mismatch at "))
     return SuiteResult("selberg-reconstruct", window, checks)
 
 
@@ -124,11 +126,8 @@ def suite_mu_bar_dual(window: int) -> SuiteResult:
     """Prime-power recipe vs Moebius inversion of mu_bar * 1 = g."""
     checks = []
     for r in range(1, window + 1):
-        bad = next(
-            (n for n in range(1, window + 1) if rj.mu_bar(r, n) != rj.mu_bar_oracle(r, n)),
-            None,
-        )
-        checks.append(Check(f"r={r}", bad is None, "" if bad is None else f"mismatch at n={bad}"))
+        lhs, rhs = partial(rj.mu_bar, r), partial(rj.mu_bar_oracle, r)
+        checks.append(_agree(f"r={r}", lhs, rhs, range(1, window + 1)))
     return SuiteResult("mu-bar-dual", window, checks)
 
 
@@ -138,23 +137,13 @@ def suite_unitary_identity(window: int) -> SuiteResult:
     checks = []
     for r in range(1, window + 1):
         uds = nt.unitary_divisors(r)
-        bad = next(
-            (
-                n
-                for n in range(1, window + 1)
-                if rj.c_bar(r, n) != sum(rj.c(d, n) for d in uds)
-            ),
-            None,
-        )
-        checks.append(
-            Check(f"unitary:r={r}", bad is None, "" if bad is None else f"mismatch at n={bad}")
-        )
+        rhs = lambda n: sum(rj.c(d, n) for d in uds)
+        checks.append(_agree(f"unitary:r={r}", partial(rj.c_bar, r), rhs, range(1, window + 1)))
     for r in range(1, min(window, 64) + 1):
         for label, mu_r, family in (("c", mobius, rj.c), ("c_bar", rj.mu_bar_fn(r), rj.c_bar)):
             conv = dirichlet(pointwise_product(eta(r), compose(mu_r, "k_over_n", r)), one)
-            bad = next((n for n in range(1, 4 * r + 1) if conv(n) != family(r, n)), None)
-            detail = "" if bad is None else f"mismatch at n={bad}"
-            checks.append(Check(f"conv-n:{label}:r={r}", bad is None, detail))
+            name = f"conv-n:{label}:r={r}"
+            checks.append(_agree(name, conv, partial(family, r), range(1, 4 * r + 1)))
     return SuiteResult("unitary-identity", window, checks)
 
 
@@ -254,8 +243,7 @@ def suite_closure_properties(window: int) -> SuiteResult:
             unitary(mobius, unitary(euler_phi, one)),
         ),
     ):
-        bad = next((n for n in range(1, w + 1) if lhs(n) != rhs(n)), None)
-        checks.append(Check(name, bad is None, "" if bad is None else f"at n={bad}"))
+        checks.append(_agree(name, lhs, rhs, range(1, w + 1), at="at n="))
 
     rep = check_multiplicative(dirichlet(mobius, euler_phi), w)
     checks.append(Check("dirichlet-multiplicative", rep.verdict == CONSISTENT, rep.verdict))

@@ -165,6 +165,11 @@ def test_extract_selberg_requires_consistency():
         extract_selberg(nplus1, 32)
 
 
+def test_extract_selberg_names_the_multivariable_extractor():
+    with pytest.raises(ValueError, match="extract_selberg_u"):
+        extract_selberg(tensor(c_fn(4), phi), 8)
+
+
 def test_reconstruction_matches_on_window():
     window = 64
     for f in [mobius, phi, scale(mobius, 2), c_fn(4), c_fn(9), c_fn(12), c_bar_fn(12)]:

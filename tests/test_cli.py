@@ -143,6 +143,11 @@ def test_usage_errors_exit_two(capsys):
     err = capsys.readouterr().err
     assert "r2 enumeration is budgeted to n <= 20000" in err
     assert "Traceback" not in err
+    # leaves without a parameter reject one instead of dropping it
+    for spec in ("mobius:3", "r2:9", "selberg-not-semi:5"):
+        assert run(["eval", "--fn", spec]) == 2, spec
+        name = spec.partition(":")[0]
+        assert capsys.readouterr().err == f"error: {name} takes no ':' parameter\n"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -176,6 +181,7 @@ def test_timing_present_by_default(capsys):
 
 def test_parse_fn_spec_shapes():
     assert parse_fn_spec("mobius").name == "mobius"
+    assert parse_fn_spec("mu") is parse_fn_spec("mobius")
     assert parse_fn_spec("c:12").name == "c:12"
     assert parse_fn_spec("dirichlet(c:4, one)").name == "dirichlet(c:4,one)"
     assert parse_fn_spec("gcdk:12(phi)").name == "gcdk:12(phi)"
@@ -202,6 +208,11 @@ def test_parse_fn_spec_errors():
         "mobius(one)",
         "c:4 trailing",
         "product(tensor(one,one), mobius)",
+        "mobius:3",
+        "mu:2",
+        "r2:9",
+        "selberg-not-semi:5",
+        "c-two-var:4",
     ):
         with pytest.raises(FnSpecError):
             parse_fn_spec(bad)

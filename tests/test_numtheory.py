@@ -110,3 +110,16 @@ def test_sieve_bound_guard(monkeypatch):
             nt.primes_up_to(101)
     finally:
         nt.set_sieve_bound(old)
+
+
+def test_is_prime_above_the_sieve_bound():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(100)
+        for n in range(101, 10_001):
+            naive = all(n % d for d in range(2, math.isqrt(n) + 1))
+            assert nt.is_prime(n) == naive, n
+        with pytest.raises(nt.SieveBoundError):
+            nt.is_prime(100 * 100 + 1)
+    finally:
+        nt.set_sieve_bound(old)
