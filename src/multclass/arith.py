@@ -91,8 +91,8 @@ def classical(name: str) -> ArithFn:
 
 def eta(k: int) -> ArithFn:
     """m -> m when m divides k, else 0."""
-    if k < 1:
-        raise ValueError(f"eta needs a positive parameter, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"eta parameter must be a positive integer, got {k!r}")
     return ArithFn(f"eta:{k}", lambda m: m if k % m == 0 else 0)
 
 
@@ -135,8 +135,8 @@ def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
     gcd_k: f(gcd(k, n)); lcm_k: f(lcm(k, n)). Quotients that are not
     positive integers contribute 0 (zero extension).
     """
-    if k < 1:
-        raise ValueError(f"composition parameter must be positive, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise ValueError(f"composition parameter must be a positive integer, got {k!r}")
     if kind == "dilate_kn":
         fn = lambda n: f(k * n)
     elif kind == "k_over_n":

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -265,11 +265,10 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
 
 
 def _splits(prod: int) -> Iterator[tuple[int, int]]:
-    """Every ordered coprime pair (m, n) with m*n = prod, m ascending."""
-    for m in nt.divisors(prod):
-        n = prod // m
-        if math.gcd(m, n) == 1:
-            yield m, n
+    """Every ordered coprime pair (m, n) with m*n = prod: m runs over the
+    unitary divisors of prod, ascending."""
+    for m in nt.unitary_divisors(prod):
+        yield m, prod // m
 
 
 def _coprime_sweep(
@@ -472,10 +471,7 @@ def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
     mult = check_multiplicative(f, window)
     quasi = check_quasimultiplicative(f, window)
     semi = check_semimultiplicative(f, window)
-    selberg = ClassReport(
-        SELBERG, semi.verdict, window, c=semi.c, a=semi.a,
-        witness=semi.witness, reason=semi.reason,
-    )
+    selberg = replace(semi, klass=SELBERG)
     if semi.verdict == CONSISTENT:
         selberg.selberg = extract_selberg(f, window, report=semi)
     return {

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -58,7 +59,7 @@ from .multivar import (
     selberg_not_semimultiplicative,
     tensor,
 )
-from .suites import SuiteResult, run_suite
+from .suites import run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -69,8 +70,10 @@ class FnSpecError(ValueError):
     """A function spec that cannot be parsed or resolved."""
 
 
-_IDENT_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789_-")
-_PARAM_CHARS = frozenset("0123456789-/")
+# a name with its optional ":param" after optional spaces; a separator
+# after optional spaces, empty when neither ',' nor ')' follows
+_NAME = re.compile(r" *([a-z0-9_-]*)(?::([0-9/-]*))?")
+_SEP = re.compile(r" *([,)]?)")
 
 # spec token -> compose kind, the inverse of the tokens compose puts in names
 _UNARY_KIND = {token: kind for kind, token in _COMPOSE_TOKEN.items()}
@@ -94,62 +97,6 @@ _LEAVES = {
 }
 
 Fn = Union[ArithFn, MultiArithFn]
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def error(self, msg: str) -> FnSpecError:
-        return FnSpecError(f"{msg} (at position {self.pos} in {self.text!r})")
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] == " ":
-            self.pos += 1
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def take(self, chars: frozenset) -> str:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in chars:
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def parse(self) -> tuple:
-        self.skip_ws()
-        node = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing characters")
-        return node
-
-    def expr(self) -> tuple:
-        self.skip_ws()
-        name = self.take(_IDENT_CHARS)
-        if not name:
-            raise self.error("expected a function name")
-        param: Optional[str] = None
-        if self.peek() == ":":
-            self.pos += 1
-            param = self.take(_PARAM_CHARS)
-            if not param:
-                raise self.error(f"{name}: expected a parameter after ':'")
-        args: list[tuple] = []
-        if self.peek() == "(":
-            self.pos += 1
-            while True:
-                args.append(self.expr())
-                self.skip_ws()
-                if self.peek() == ",":
-                    self.pos += 1
-                    continue
-                if self.peek() == ")":
-                    self.pos += 1
-                    break
-                raise self.error("expected ',' or ')'")
-        return (name, param, args)
 
 
 def _int_param(name: str, param: Optional[str], fallback: Optional[int], what: str) -> int:
@@ -223,9 +170,39 @@ def _build(node: tuple, r: Optional[int], k: Optional[int]) -> Fn:
     return build(_int_param(name, param, {"r": r, "k": k}[flag], flag))
 
 
+def _syntax_error(msg: str, text: str, pos: int) -> FnSpecError:
+    return FnSpecError(f"{msg} (at position {pos} in {text!r})")
+
+
+def _expr(text: str, pos: int) -> tuple[tuple, int]:
+    """The (name, param, args) node starting at pos, and the position after it."""
+    m = _NAME.match(text, pos)
+    name, param = m.groups()
+    if not name:
+        raise _syntax_error("expected a function name", text, m.start(1))
+    if param == "":
+        raise _syntax_error(f"{name}: expected a parameter after ':'", text, m.end())
+    pos, args = m.end(), []
+    if text.startswith("(", pos):
+        sep = ","
+        while sep == ",":
+            node, pos = _expr(text, pos + 1)
+            args.append(node)
+            m = _SEP.match(text, pos)
+            sep, pos = m.group(1), m.start(1)
+        if sep != ")":
+            raise _syntax_error("expected ',' or ')'", text, pos)
+        pos += 1
+    return (name, param, args), pos
+
+
 def parse_fn_spec(text: str, r: Optional[int] = None, k: Optional[int] = None) -> Fn:
     """Resolve a function spec string to a callable function object."""
-    return _build(_Parser(text).parse(), r, k)
+    node, pos = _expr(text, 0)
+    pos = _SEP.match(text, pos).start(1)
+    if pos != len(text):
+        raise _syntax_error("trailing characters", text, pos)
+    return _build(node, r, k)
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -371,10 +348,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
-    try:
-        result: SuiteResult = run_suite(args.suite, args.window)
-    except ValueError as exc:
-        raise FnSpecError(str(exc))
+    result = run_suite(args.suite, args.window)
     rows = [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.checks]
     lines = ["check\tok\tdetail"]
     lines.extend(f"{c.name}\t{'pass' if c.ok else 'FAIL'}\t{c.detail}" for c in result.checks)

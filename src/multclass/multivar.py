@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Sequence
@@ -231,19 +231,14 @@ class SelbergSystem:
 
     predict() multiplies the constant by every stored column's entry at the
     point's signature, so rescaling one column and compensating in another
-    leaves all predictions unchanged (the gauge freedom). zero_sigs lists
-    the signatures each column kills; exceptions are the primes whose
-    column could not be anchored to F_p(0,...,0) = 1.
+    leaves all predictions unchanged (the gauge freedom). exceptions are
+    the primes whose column could not be anchored to F_p(0,...,0) = 1.
     """
 
-    arity: int
-    window: int
     constant: Fraction
     tables: dict[int, dict[Point, Fraction]]
-    zero_sigs: dict[int, frozenset[Point]]
     exceptions: tuple[int, ...]
-    anchors: tuple[tuple[int, Point], ...] = ()
-    defining: dict = field(default_factory=dict)  # (p, sig) -> window point
+    anchors: tuple[tuple[int, Point], ...]
 
     def predict(self, pt: Point) -> Fraction:
         val = self.constant
@@ -387,16 +382,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
             else:
                 col[s] = known[(p, s)]
         tables[p] = col
-    system = SelbergSystem(
-        arity=u,
-        window=window,
-        constant=constant,
-        tables=tables,
-        zero_sigs=zero_sigs,
-        exceptions=exceptions,
-        anchors=tuple(anchors),
-        defining=defining,
-    )
+    system = SelbergSystem(constant, tables, exceptions, tuple(anchors))
     return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
 
 

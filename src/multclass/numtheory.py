@@ -58,7 +58,7 @@ def sieve_bound() -> int:
 
 
 def set_sieve_bound(bound: int) -> None:
-    """Rebuild the sieve with a new bound; mainly for tests and the CLI."""
+    """Rebuild the sieve with a new bound; the tests shrink it to reach past it."""
     if bound < 4:
         raise ValueError(f"sieve bound must be at least 4, got {bound}")
     _build_sieve(bound)
@@ -212,6 +212,11 @@ def is_unitary_divisor(d: int, n: int) -> bool:
     return n % d == 0 and math.gcd(d, n // d) == 1
 
 
+def _check_modulus(r: int) -> None:
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"modulus must be a positive integer, got {r!r}")
+
+
 def is_regular_mod(a: int, r: int) -> bool:
     """Whether a*a*x == a (mod r) is solvable for some x.
 
@@ -219,8 +224,7 @@ def is_regular_mod(a: int, r: int) -> bool:
     gcd(a, r) is a unitary divisor of r. The brute-force definition is
     kept to the tests as an independent check.
     """
-    if r < 1:
-        raise ValueError(f"modulus must be positive, got {r}")
+    _check_modulus(r)
     if a < 0:
         raise ValueError(f"residue must be nonnegative, got {a}")
     d = math.gcd(a % r, r)
@@ -229,6 +233,7 @@ def is_regular_mod(a: int, r: int) -> bool:
 
 def regular_residues(r: int) -> list[int]:
     """All regular residues in [0, r)."""
+    _check_modulus(r)
     return [a for a in range(r) if is_regular_mod(a, r)]
 
 

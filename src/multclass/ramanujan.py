@@ -22,13 +22,9 @@ from typing import Optional
 from . import numtheory as nt
 from .arith import ArithFn, Rational, mobius
 from .multivar import MultiArithFn
+from .numtheory import _check_modulus
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _check_modulus(r: int) -> None:
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
 
 
 def _gcd_level(r: int, n: int) -> int:
@@ -145,8 +141,7 @@ class EvenFnProfile:
 
 def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
     """Scan f on [1, 2r] for r-periodicity and r-evenness."""
-    if r < 1:
-        raise ValueError(f"modulus must be positive, got {r}")
+    _check_modulus(r)
     periodic, per_witness = True, None
     for n in range(1, r + 1):
         if f(n) != f(n + r):
@@ -164,8 +159,7 @@ def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
 
 def semimult_params_c(r: int) -> tuple[int, int]:
     """Closed-form shift and value for n -> c_r(n): a = r/radical(r)."""
-    if r < 1:
-        raise ValueError(f"modulus must be positive, got {r}")
+    _check_modulus(r)
     a = r // nt.radical(r)
     return a, c(r, a)
 
@@ -173,8 +167,7 @@ def semimult_params_c(r: int) -> tuple[int, int]:
 def semimult_params_c_bar(r: int) -> tuple[int, int]:
     """Closed-form shift and value for n -> c_bar_r(n): a is the product
     of the primes appearing in r with exponent exactly 1."""
-    if r < 1:
-        raise ValueError(f"modulus must be positive, got {r}")
+    _check_modulus(r)
     a = math.prod(p for p, e in nt.factorize(r) if e == 1)
     return a, c_bar(r, a)
 
@@ -182,8 +175,7 @@ def semimult_params_c_bar(r: int) -> tuple[int, int]:
 def mu_bar_indicator(r: int) -> int:
     """The constant in the quasimultiplicativity identity for c_bar_r:
     1 when r = 1 or r is squareful, else 0; equals c_bar_r(1)."""
-    if r < 1:
-        raise ValueError(f"modulus must be positive, got {r}")
+    _check_modulus(r)
     return 1 if r == 1 or nt.is_squareful(r) else 0
 
 

@@ -71,10 +71,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return all(c.ok for c in self.checks)
 
-    @property
-    def failures(self) -> list[Check]:
-        return [c for c in self.checks if not c.ok]
-
 
 def _agree(name: str, lhs, rhs, points, ok: str = "", at: str = "mismatch at n=") -> Check:
     """lhs and rhs agree at every point; else the detail names the first

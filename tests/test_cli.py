@@ -1,12 +1,24 @@
 import json
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from multclass.arith import COMPOSE_KINDS, classical, compose
+from multclass.arith import (
+    COMPOSE_KINDS,
+    classical,
+    compose,
+    dirichlet,
+    pointwise_product,
+    scale,
+    unitary,
+)
 from multclass.cli import FnSpecError, parse_fn_spec, run
+from multclass.corpus import corpus
+from multclass.multivar import tensor
+from multclass.ramanujan import c_bar_fn, c_fn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -148,6 +160,19 @@ def test_usage_errors_exit_two(capsys):
         assert run(["eval", "--fn", spec]) == 2, spec
         name = spec.partition(":")[0]
         assert capsys.readouterr().err == f"error: {name} takes no ':' parameter\n"
+    # suite errors reach stderr as raised by run_suite
+    for argv, err in (
+        (["--suite", "rearick", "--window", "1"], "window must be at least 2, got 1"),
+        (["--suite", "rearick", "--window", "0"], "window must be a positive integer, got 0"),
+        (
+            ["--suite", "bogus"],
+            "unknown suite 'bogus'; known: closure-properties, lahiri-rs, mu-bar-dual, "
+            "oracle-agreement, quasi-identities, rearick, selberg-reconstruct, "
+            "two-variable-theorem, unitary-identity",
+        ),
+    ):
+        assert run(["verify", *argv]) == 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):
@@ -193,6 +218,41 @@ def test_parse_fn_spec_shapes():
 def test_compose_names_round_trip(kind):
     name = compose(classical("phi"), kind, 3).name
     assert parse_fn_spec(name).name == name
+
+
+# spaces may come before a name, before ',' or ')' and at the end, nowhere else
+@pytest.mark.parametrize(
+    "text, name",
+    [(" dirichlet(c:4 , one) ", "dirichlet(c:4,one)"), ("tensor(mobius,  phi)", "tensor(mobius,phi)")],
+)
+def test_parse_fn_spec_accepts_spaces(text, name):
+    assert parse_fn_spec(text).name == name
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("dirichlet (c:4, one)", "trailing characters (at position 10"),
+        ("c :4", "trailing characters (at position 2"),
+        ("c: 4", "c: expected a parameter after ':' (at position 2"),
+        ("c:4(", "expected a function name (at position 4"),
+        ("scale:3/2(phi", "expected ',' or ')' (at position 13"),
+    ],
+)
+def test_parse_fn_spec_rejects_misplaced_text(text, error):
+    with pytest.raises(FnSpecError) as exc:
+        parse_fn_spec(text)
+    assert str(exc.value) == f"{error} in {text!r})"
+
+
+def test_names_parse_back_to_themselves():
+    phi, leaves = classical("phi"), corpus()
+    fns = leaves + [scale(phi, Fraction(-3, 2)), tensor(c_fn(4), phi)]
+    fns += [compose(c_fn(4), kind, 3) for kind in COMPOSE_KINDS]
+    for lhs, rhs in zip(leaves[::7], leaves[3::7]):
+        fns += [dirichlet(lhs, rhs), pointwise_product(lhs, rhs), unitary(lhs, rhs)]
+    for f in fns:
+        assert parse_fn_spec(f.name).name == f.name
 
 
 def test_parse_fn_spec_errors():

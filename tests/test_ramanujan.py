@@ -273,3 +273,32 @@ def test_quasi_failure_details():
     assert quasi_failure(c_fn(6), mobius(6), 20) == ""
     assert quasi_failure(c_fn(6), -1, 20) == "fails at (1, 1)"
     assert quasi_failure(changed_at(c_fn(6), 35, 7), 1, 8) == "fails at (5, 7)"
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        eta,
+        lambda k: compose(classical("phi"), "gcd_k", k),
+        lambda r: nt.is_regular_mod(3, r),
+        nt.regular_residues,
+        lambda r: even_profile(mobius, r),
+        semimult_params_c,
+        semimult_params_c_bar,
+        mu_bar_indicator,
+    ],
+    ids=[
+        "eta",
+        "compose",
+        "is_regular_mod",
+        "regular_residues",
+        "even_profile",
+        "semimult_params_c",
+        "semimult_params_c_bar",
+        "mu_bar_indicator",
+    ],
+)
+def test_parameters_must_be_positive_integers(entry):
+    for bad in (2.0, "3", 0):
+        with pytest.raises(ValueError, match="must be a positive integer, got"):
+            entry(bad)
