@@ -188,8 +188,8 @@ def sum_of_squares(s: int) -> ArithFn:
     anywhere. Arguments above SQUARES_BUDGET are rejected to keep the
     enumeration bounded.
     """
-    if s not in (2, 4, 8):
-        raise ValueError(f"s must be 2, 4 or 8, got {s}")
+    if isinstance(s, bool) or not isinstance(s, int) or s not in (2, 4, 8):
+        raise ValueError(f"s must be 2, 4 or 8, got {s!r}")
 
     def fn(n: int) -> int:
         if n > SQUARES_BUDGET:

@@ -257,10 +257,10 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
     """
     for prod in range(1, bound + 1):
         yield 1, prod
-        pairs = nt.factorize(prod).pairs
-        if len(pairs) > 1:
-            p, e = pairs[0]
-            q = p**e
+        # prod & -prod is the full power of 2 in an even prod; it spares the
+        # sweep half of its calls
+        q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
+        if q != prod:
             yield q, prod // q
 
 

@@ -76,8 +76,8 @@ class MultiArithFn:
     __slots__ = ("name", "arity", "_eval")
 
     def __init__(self, name: str, arity: int, fn: Callable[[Point], Rational]):
-        if arity < 1:
-            raise ValueError(f"arity must be at least 1, got {arity}")
+        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+            raise ValueError(f"arity must be a positive integer, got {arity!r}")
         self.name = name
         self.arity = arity
         self._eval = lru_cache(maxsize=MEMO_SIZE)(fn)

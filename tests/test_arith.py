@@ -159,8 +159,9 @@ def test_sum_of_squares_known_values():
     assert [r2(n) for n in (1, 2, 3, 4, 5, 25)] == [4, 4, 0, 4, 8, 12]
     assert sum_of_squares(4)(1) == 8
     assert sum_of_squares(8)(1) == 16
-    with pytest.raises(ValueError):
-        sum_of_squares(3)
+    for s in (3, 2.0, 4.0, True):
+        with pytest.raises(ValueError):
+            sum_of_squares(s)
 
 
 def test_format_rational():

@@ -6,6 +6,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from multclass import numtheory as nt
 from multclass.arith import (
     COMPOSE_KINDS,
     classical,
@@ -173,6 +174,20 @@ def test_usage_errors_exit_two(capsys):
     ):
         assert run(["verify", *argv]) == 2, argv
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_sieve_bound_refusal_exits_two(capsys):
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(50)
+        capsys.readouterr()
+        assert run(["classify", "--fn", "phi", "--window", "64"]) == 2
+        assert capsys.readouterr().err == (
+            "error: primes_up_to(64) exceeds the sieve bound 50; "
+            "set MULTCLASS_SIEVE_BOUND to raise it\n"
+        )
+    finally:
+        nt.set_sieve_bound(old)
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

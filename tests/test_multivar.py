@@ -51,6 +51,9 @@ def test_multiarithfn_validates():
         sum2((1,))
     with pytest.raises(ValueError):
         sum2((0, 3))
+    for arity in (0, 2.0, True):
+        with pytest.raises(ValueError, match="arity must be a positive integer"):
+            MultiArithFn("x", arity, lambda pt: 1)
 
 
 def test_tensor_splits():

@@ -123,3 +123,103 @@ def test_is_prime_above_the_sieve_bound():
             nt.is_prime(100 * 100 + 1)
     finally:
         nt.set_sieve_bound(old)
+
+
+def _trial_division(n):
+    pairs = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            pairs.append((p, e))
+        p += 1
+    if n > 1:
+        pairs.append((n, 1))
+    return tuple(pairs)
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (nt.is_prime, (2.0,)),
+        (nt.is_prime, ("7",)),
+        (nt.is_regular_mod, (2.0, 3)),
+        (nt.is_unitary_divisor, (2.0, 4)),
+        (nt.nu, (2.0, 8)),
+        (nt.primes_up_to, (10.5,)),
+    ],
+    ids=lambda x: getattr(x, "__name__", repr(x)),
+)
+def test_non_integer_arguments_raise_value_error(fn, args):
+    with pytest.raises(ValueError, match=r"must be an? (\w+ )?integer, got"):
+        fn(*args)
+
+
+def test_factorize_matches_trial_division_across_table_growth():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(old)  # start from an empty table
+        for n in range(1, 50_001):
+            assert nt.factorize(n).pairs == _trial_division(n), n
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_factorize_past_a_small_bound():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(100)
+        for n in range(101, 10_001):
+            assert nt.factorize(n).pairs == _trial_division(n), n
+        with pytest.raises(nt.SieveBoundError):
+            nt.factorize(2 * 101 * 103)  # cofactor 10403 > 100**2
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_least_prime_power():
+    def expected(n):
+        p, e = nt.factorize(n).pairs[0]
+        return p**e
+
+    assert nt.least_prime_power(1) == 1
+    for bad in (0, 12.0):
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            nt.least_prime_power(bad)
+    for n in range(2, 100_001):
+        assert nt.least_prime_power(n) == expected(n), n
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(100)
+        for n in range(2, 10_001):
+            assert nt.least_prime_power(n) == expected(n), n
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_primes_stay_consistent_across_table_growth():
+    def brute(n):
+        return [k for k in range(2, n + 1) if _trial_division(k) == ((k, 1),)]
+
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(10**6)
+        assert nt.primes_up_to(30) == brute(30)
+        assert nt.factorize(500_000).pairs == ((2, 5), (5, 6))
+        assert nt.primes_up_to(1000) == brute(1000)
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_table_grows_only_as_far_as_used():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(10**6)
+        nt.sieve_bound()
+        nt.factorize(97)
+        assert len(nt._spf_upto(1)) < 2**13 + 1
+    finally:
+        nt.set_sieve_bound(old)
