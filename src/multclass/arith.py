@@ -50,7 +50,8 @@ class ArithFn:
         self._eval = lru_cache(maxsize=MEMO_SIZE)(fn) if memo else fn
 
     def __call__(self, n: int) -> Rational:
-        if not isinstance(n, int) or n < 1:
+        # exact ints take one type test; other types pay for the bool test
+        if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)) or n < 1:
             raise ValueError(f"{self.name} is defined on positive integers, got {n!r}")
         return self._eval(n)
 

@@ -20,7 +20,9 @@ witness is the least one: by (m*n, m) for one-variable coprime pairs,
 lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. The
 one-variable coprime sweep checks two splits per product, which finds the
 least failing product (see coprime_pairs), then scans that product's splits
-by m.
+by m. The tuple sweeps in multivar check two splits per box point, which
+decides the law, and only when it fails rerun the lexicographic sweep of
+every tuple pair for the witness.
 One factor-system type, SelbergFactorization, and one extractor,
 extract_selberg, serve every arity, with int or tuple points alike.
 
@@ -297,9 +299,13 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
     is evaluated once and kept; any other argument is passed to f itself and
-    not stored here, so only f's own memo keeps it."""
+    not stored here, so only f's own memo keeps it.
 
-    def __init__(self, f: ArithFn, window: int):
+    For tuple points, window is the corner (W, ..., W) of the window box.
+    Tuples compare lexicographically, so every box point is kept; the tuple
+    sweeps read no point outside the box."""
+
+    def __init__(self, f: Callable, window: AnyPoint):
         super().__init__()
         self.f = f
         self.window = window

@@ -19,8 +19,14 @@ per-prime zero patterns, then the nonzero values must satisfy the ratio
 constraints once the per-prime gauge freedom is fixed by anchoring
 F_p(0,...,0) = 1 wherever the support permits.
 
-Everything here is pure and deterministically ordered (points are swept
-lexicographically), so witnesses are reproducible.
+The multiplicative, quasimultiplicative and semimultiplicative checkers
+read f through one value table of the window box. They decide with two
+coprime splits per box point (_tuple_splits), and only a refuted law
+reruns the lexicographic sweep of every coprime pair
+(_coprime_tuple_pairs), which gives the lexicographically least witness.
+
+Everything here is pure and deterministically ordered, so witnesses are
+reproducible.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .classes import (
     ClassReport,
     SelbergFactorization,
     Witness,
+    _WindowValues,
     _least_support,
     _pmul,
     _report,
@@ -86,7 +93,10 @@ class MultiArithFn:
         pt = tuple(point)
         if len(pt) != self.arity:
             raise ValueError(f"{self.name} expects {self.arity}-tuples, got {pt!r}")
-        if any(not isinstance(x, int) or x < 1 for x in pt):
+        if any(
+            type(x) is not int and (isinstance(x, bool) or not isinstance(x, int)) or x < 1
+            for x in pt
+        ):
             raise ValueError(f"{self.name} is defined on positive integers, got {pt!r}")
         return self._eval(pt)
 
@@ -149,27 +159,77 @@ def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
                 yield nvec, mvec
 
 
+def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
+    """Two coprime splits of each point N of the box, ordered by (prod N, N):
+    (1, N), then (Q, N / Q) when prod N has two or more prime factors,
+    where Q is the componentwise full power of the least prime of prod N.
+
+    classes.coprime_pairs's induction goes through unchanged for any law
+    c F(m.n) = F(m) F(n) with c != 0: a coprime split of N sends all of Q
+    to one side, every product it reduces to is smaller, and componentwise
+    divisors of N stay in the box. So these two splits fail somewhere
+    exactly when some coprime pair of the box does.
+    """
+    ones = (1,) * len(caps)
+    box = itertools.product(*(range(1, c + 1) for c in caps))
+    # the box comes lexicographically and sorted() is stable: (prod N, N)
+    for pt in sorted(box, key=math.prod):
+        yield ones, pt
+        prod = math.prod(pt)
+        # q is the least prime's full power in prod N, so gcd(N_i, q) is its
+        # full power in N_i
+        q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
+        if q != prod:
+            qvec = tuple(math.gcd(x, q) for x in pt)
+            yield qvec, tuple(x // y for x, y in zip(pt, qvec))
+
+
+def _tuple_sweep(
+    values: Callable,
+    law: str,
+    caps: Sequence[int],
+    pairs: Iterator[tuple[Point, Point]],
+    c: Rational = 1,
+    a: Optional[Point] = None,
+) -> Optional[Witness]:
+    """The first of pairs, the box's coprime pairs in lexicographic order,
+    at which the law fails. The two-split sweep of the box decides, so only
+    a refuted law runs through pairs to find the witness."""
+    if _sweep(values, law, _tuple_splits(caps), _pmul, c=c, a=a) is None:
+        return None
+    return _sweep(values, law, pairs, _pmul, c=c, a=a)
+
+
+def _values(f: MultiArithFn, window: int) -> Callable[[Point], Rational]:
+    """f read through one table of the window box; every tuple sweep reads
+    only points of that box."""
+    return _WindowValues(f, (window,) * f.arity).__getitem__
+
+
 def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
     _require_window(window, f.arity)
-    pairs = ((m, n) for n, m in _coprime_tuple_pairs((window,) * f.arity))
-    w = _sweep(f, LAW_MULT_U, pairs, _pmul)
+    caps = (window,) * f.arity
+    pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
+    w = _tuple_sweep(_values(f, window), LAW_MULT_U, caps, pairs)
     return _report(MULTIPLICATIVE, window, w, arity=f.arity)
 
 
 def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
     _require_window(window, f.arity)
+    values = _values(f, window)
     ones = (1,) * f.arity
-    least = _least_support(f, _points(window, f.arity))
+    least = _least_support(values, _points(window, f.arity))
     if least is None:
         return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=f.arity)
-    w = _sweep(f, LAW_UNIT_U, [(least, ones)], _pmul)
+    w = _sweep(values, LAW_UNIT_U, [(least, ones)], _pmul)
     if w is not None:
         return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity)
-    f1 = f(ones)
-    pairs = ((m, n) for n, m in _coprime_tuple_pairs((window,) * f.arity))
-    w = _sweep(f, LAW_QUASI_U, pairs, _pmul, c=f1)
+    f1 = values(ones)
+    caps = (window,) * f.arity
+    pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
+    w = _tuple_sweep(values, LAW_QUASI_U, caps, pairs, c=f1)
     return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity, c=f1)
 
 
@@ -183,7 +243,8 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """
     _require_window(window, f.arity)
     u = f.arity
-    support_iter = (pt for pt in _points(window, u) if f(pt) != 0)
+    values = _values(f, window)
+    support_iter = (pt for pt in _points(window, u) if values(pt) != 0)
     first = next(support_iter, None)
     if first is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u)
@@ -197,15 +258,15 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
         if avec == (1,) * u:
             break
     known = {"arity": u, "a": avec, "forcing": tuple(forcing)}
-    w = _sweep(f, LAW_FORCED_SHIFT, [(forcing[0], avec)], _pmul)
+    w = _sweep(values, LAW_FORCED_SHIFT, [(forcing[0], avec)], _pmul)
     if w is not None:
         rep = _report(SEMIMULTIPLICATIVE, window, w, **known)
         chain = "; ".join(f"f{pt} != 0 forces a | {pt}" for pt in forcing)
         rep.reason = f"{chain}; {rep.reason}"
         return rep
-    fa = f(avec)
+    fa = values(avec)
     caps = tuple(window // ai for ai in avec)
-    w = _sweep(f, LAW_SHIFTED_U, _coprime_tuple_pairs(caps), _pmul, c=fa, a=avec)
+    w = _tuple_sweep(values, LAW_SHIFTED_U, caps, _coprime_tuple_pairs(caps), c=fa, a=avec)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, **known)
 
 

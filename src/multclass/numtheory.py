@@ -61,9 +61,11 @@ def _sieve(size: int) -> array:
 def _spf_upto(n: int) -> array:
     """The smallest-prime-factor table, grown to cover n <= sieve_bound().
 
-    A table too short for n is rebuilt at twice n (at least 2**12, at most
-    the bound), so a process pays only for the arguments it reaches and
-    rebuilds O(log n) times."""
+    A table too short for n is rebuilt at twice n (at least 2**12), so a
+    process pays only for the arguments it reaches and rebuilds O(log n)
+    times. Once twice n reaches 3/4 of the bound the table is built at the
+    bound: a build just short of it would soon be followed by a second,
+    full one."""
     global _table
     t = _table[0]
     if n < len(t):
@@ -71,7 +73,9 @@ def _spf_upto(n: int) -> array:
     # free the old table before the new one is built
     del t
     _table = _EMPTY
-    t = _sieve(min(sieve_bound(), max(2 * n, 1 << 12)))
+    bound = sieve_bound()
+    size = max(2 * n, 1 << 12)
+    t = _sieve(bound if 4 * size >= 3 * bound else size)
     _table = (t, None)
     return t
 

@@ -41,6 +41,9 @@ def test_arithfn_rejects_bad_arguments():
         mobius(-3)
     with pytest.raises(ValueError):
         mobius(2.5)
+    for bad in (True, False):
+        with pytest.raises(ValueError, match="phi is defined on positive integers"):
+            phi(bad)
 
 
 def test_dirichlet_mobius_one_is_unit():

@@ -1,22 +1,37 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import multclass
+from multclass import numtheory as nt
 from multclass.arith import classical, scale
 from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
+    LAW_FORCED_SHIFT,
+    LAW_MULT_U,
+    LAW_QUASI_U,
+    LAW_SHIFTED_U,
+    LAW_UNIT_U,
     MULTIPLICATIVE,
     QUASIMULTIPLICATIVE,
     REFUTED,
     SELBERG,
     SEMIMULTIPLICATIVE,
+    ClassReport,
+    _pmul,
+    _report,
+    _sweep,
 )
 from multclass.multivar import (
     MultiArithFn,
+    _coprime_tuple_pairs,
+    _tuple_splits,
     check_multiplicative_u,
     check_quasimultiplicative_u,
     check_selberg_u,
@@ -51,6 +66,9 @@ def test_multiarithfn_validates():
         sum2((1,))
     with pytest.raises(ValueError):
         sum2((0, 3))
+    for bad in ((True, 2), (2, False), (2.0, 2)):
+        with pytest.raises(ValueError, match="defined on positive integers"):
+            tensor(phi, phi)(bad)
     for arity in (0, 2.0, True):
         with pytest.raises(ValueError, match="arity must be a positive integer"):
             MultiArithFn("x", arity, lambda pt: 1)
@@ -239,3 +257,141 @@ def test_window_guards():
     three = MultiArithFn("three", 4, lambda pt: 1)
     with pytest.raises(ValueError):
         check_multiplicative_u(three, 4)
+
+
+@pytest.mark.parametrize(
+    "caps, splits, pairs", [((14, 14, 14), 5370, 19499), ((40, 40), 3114, 10695), ((1, 1), 1, 1)]
+)
+def test_tuple_splits_are_two_per_point_of_several_primes(caps, splits, pairs):
+    several = sum(
+        1 for pt in product(*(range(1, c + 1) for c in caps)) if nt.omega(math.prod(pt)) >= 2
+    )
+    got = list(_tuple_splits(caps))
+    assert len(got) == math.prod(caps) + several == splits
+    assert sum(1 for _ in _coprime_tuple_pairs(caps)) == pairs
+    points = [_pmul(m, n) for m, n in got if m == (1,) * len(caps)]
+    assert points == sorted(points, key=lambda pt: (math.prod(pt), pt))
+
+
+def test_refuted_tuple_sweep_keeps_the_lexicographic_witness():
+    # (6, 1) is the least failing product, but the lexicographic sweep of
+    # (n, m) meets n = (1, 2), m = (1, 5) before n = (2, 1), m = (3, 1)
+    broken = {(6, 1): 7, (1, 10): 5}
+    f = MultiArithFn("two-bumps", 2, lambda pt: broken.get(pt, 1))
+    first = _sweep(f, LAW_MULT_U, _tuple_splits((12, 12)), _pmul)
+    assert _pmul(first.m, first.n) == (6, 1)
+    rep = check_multiplicative_u(f, 12)
+    w = rep.witness
+    assert (w.m, w.n, w.lhs, w.rhs) == ((1, 5), (1, 2), 5, 1)
+    assert rep.reason == "f((1, 10)) = 5 but f((1, 2))*f((1, 5)) = 1"
+    lexicographic = ((m, n) for n, m in _coprime_tuple_pairs((12, 12)))
+    assert w == _sweep(f, LAW_MULT_U, lexicographic, _pmul)
+
+
+def lexicographic_reports(f, window):
+    """The multiplicative, quasimultiplicative and semimultiplicative
+    reports as a lexicographic sweep of every coprime tuple pair, reading f
+    directly, gives them."""
+    u = f.arity
+    ones = (1,) * u
+    swapped = [(m, n) for n, m in _coprime_tuple_pairs((window,) * u)]
+    mult = _report(MULTIPLICATIVE, window, _sweep(f, LAW_MULT_U, swapped, _pmul), arity=u)
+    support = [pt for pt in product(range(1, window + 1), repeat=u) if f(pt) != 0]
+    if not support:
+        return (
+            mult,
+            ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u),
+            ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u),
+        )
+    w = _sweep(f, LAW_UNIT_U, [(support[0], ones)], _pmul)
+    if w is None:
+        w = _sweep(f, LAW_QUASI_U, swapped, _pmul, c=f(ones))
+        quasi = _report(QUASIMULTIPLICATIVE, window, w, arity=u, c=f(ones))
+    else:
+        quasi = _report(QUASIMULTIPLICATIVE, window, w, arity=u)
+    a, forcing = support[0], [support[0]]
+    for pt in support:
+        if tuple(map(math.gcd, a, pt)) != a:
+            a = tuple(map(math.gcd, a, pt))
+            forcing.append(pt)
+    known = {"arity": u, "a": a, "forcing": tuple(forcing)}
+    w = _sweep(f, LAW_FORCED_SHIFT, [(forcing[0], a)], _pmul)
+    if w is None:
+        caps = tuple(window // ai for ai in a)
+        w = _sweep(f, LAW_SHIFTED_U, _coprime_tuple_pairs(caps), _pmul, c=f(a), a=a)
+        semi = _report(SEMIMULTIPLICATIVE, window, w, c=f(a), **known)
+    else:
+        semi = _report(SEMIMULTIPLICATIVE, window, w, **known)
+        chain = "; ".join(f"f{pt} != 0 forces a | {pt}" for pt in forcing)
+        semi.reason = f"{chain}; {semi.reason}"
+    return mult, quasi, semi
+
+
+def report_fields(rep):
+    w = rep.witness
+    seen = None if w is None else (w.m, w.n, w.lhs, w.rhs, w.law, w.shift)
+    return rep.klass, rep.verdict, rep.c, rep.a, rep.forcing, rep.reason, seen
+
+
+VALUES = [0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+@st.composite
+def per_prime_products(draw):
+    """C * prod_p F_p(signature at p) on the multiples of a shift, else 0,
+    with random columns for p <= W (zero entries included) and up to two
+    exception primes, F_p(0, ..., 0) = 0; then three times in four one
+    window value is changed."""
+    arity = draw(st.integers(2, 3))
+    # arity 3 stops at W = 8, which keeps the oracle's full sweeps short
+    window = draw(st.integers(1, 12 if arity == 2 else 8))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    zero_p = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+    primes = nt.primes_up_to(window)
+    exceptions = set()
+    if primes and draw(st.booleans()):
+        exceptions = draw(st.sets(st.sampled_from(primes[:3]), min_size=1, max_size=2))
+    ones = (1,) * arity
+    shift = draw(st.sampled_from([ones, ones, ones, (2,) + ones[1:], (1, 3) + ones[2:]]))
+    columns = {}
+    for p in primes:
+        top = 0  # the largest exponent of p in the window
+        while p ** (top + 1) <= window:
+            top += 1
+        col = columns[p] = {}
+        for sig in product(range(top + 1), repeat=arity):
+            col[sig] = 0 if rng.random() < zero_p else rng.choice(VALUES[1:])
+        col[(0,) * arity] = 0 if p in exceptions else 1
+    changes = {}
+    if draw(st.integers(0, 3)):
+        pt = tuple(draw(st.integers(1, window)) for _ in range(arity))
+        changes[pt] = draw(st.sampled_from(VALUES))
+    return arity, window, draw(st.sampled_from([1, 2, Fraction(-3, 2)])), shift, columns, changes
+
+
+def build_product(arity, window, C, shift, columns, changes):
+    def member(pt):
+        if any(x % a for x, a in zip(pt, shift)):
+            return 0
+        sigs = [dict(nt.factorize(x // a).pairs) for x, a in zip(pt, shift)]
+        value = C
+        for p, col in columns.items():
+            value *= col[tuple(sig.get(p, 0) for sig in sigs)]
+        return value
+
+    return MultiArithFn("product", arity, lambda pt: changes[pt] if pt in changes else member(pt))
+
+
+@settings(max_examples=300, deadline=None)
+@given(per_prime_products())
+def test_tuple_checkers_match_the_lexicographic_sweep(spec):
+    f = build_product(*spec)
+    window = spec[1]
+    got = (
+        check_multiplicative_u(f, window),
+        check_quasimultiplicative_u(f, window),
+        check_semimultiplicative_u(f, window),
+    )
+    assert [report_fields(r) for r in got] == [
+        report_fields(r) for r in lexicographic_reports(f, window)
+    ]

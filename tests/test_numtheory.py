@@ -223,3 +223,29 @@ def test_table_grows_only_as_far_as_used():
         assert len(nt._spf_upto(1)) < 2**13 + 1
     finally:
         nt.set_sieve_bound(old)
+
+
+def test_table_is_built_at_the_bound_once_twice_n_reaches_three_quarters(monkeypatch):
+    sizes = []
+    sieve = nt._sieve
+
+    def recording(size):
+        sizes.append(size)
+        return sieve(size)
+
+    old = nt.sieve_bound()
+    try:
+        monkeypatch.setattr(nt, "_sieve", recording)
+        nt.set_sieve_bound(100_000)
+        for n in (5_000, 37_499, 90_000):
+            nt.factorize(n)
+        nt.set_sieve_bound(100_000)
+        for n in (37_500, 90_000):
+            nt.factorize(n)
+        # a W = 512 Rearick lcm still gets a table of twice its size
+        nt.set_sieve_bound(10**6)
+        nt.factorize(2**18)
+        # the sieve's recursive calls for the square root stay below 2**12
+        assert [s for s in sizes if s >= 1 << 12] == [10_000, 74_998, 100_000, 100_000, 2**19]
+    finally:
+        nt.set_sieve_bound(old)
