@@ -163,7 +163,9 @@ def _square_rep_counts(s: int, upper: int) -> list[int]:
     have = _square_tables.get(s)
     if have is not None and len(have) > upper:
         return have
-    target = max(upper, 256, 2 * (len(have) - 1) if have else 0)
+    # doubling stops at the enumeration budget, past which fn raises anyway
+    grown = 2 * (len(have) - 1) if have else 0
+    target = max(upper, min(max(grown, 256), SQUARES_BUDGET))
     counts = [1] + [0] * target
     for _ in range(s):
         nxt = [0] * (target + 1)

@@ -23,6 +23,9 @@ least failing product (see coprime_pairs), then scans that product's splits
 by m. The tuple sweeps in multivar check two splits per box point, which
 decides the law, and only when it fails rerun the lexicographic sweep of
 every tuple pair for the witness.
+classify_all derives two rows from the semimultiplicative sweep (see
+there). check_rearick decides its law by Rearick's theorem and sweeps every
+pair only for a refutation's witness.
 One factor-system type, SelbergFactorization, and one extractor,
 extract_selberg, serve every arity, with int or tuple points alike.
 
@@ -360,21 +363,57 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
 
 
-def check_rearick(f: ArithFn, window: int) -> ClassReport:
-    """Sweep the gcd-lcm identity f(m) f(n) = f((m,n)) f([m,n]) for all
-    m, n <= window.
+def _wide_splits(bound: int, block: int = 1 << 20) -> Iterator[tuple[int, int]]:
+    """One coprime split (u, v), u < v <= bound, of each product u v past
+    bound: products in blocks of `block`, within a block by u, then v; a
+    bytearray per block marks the products already visited."""
+    for low in range(bound + 1, bound * bound, block):
+        high = min(low + block, bound * bound)
+        seen = bytearray(high - low)
+        for u in range(2, math.isqrt(high - 1) + 1):
+            # distinct v give distinct products, so only earlier u mark them
+            vs = range(max(u + 1, -(-low // u)), min(bound, (high - 1) // u) + 1)
+            for v in [v for v in vs if not seen[u * v - low] and math.gcd(u, v) == 1]:
+                seen[u * v - low] = 1
+                yield u, v
 
-    Each point of 1..window is evaluated at most once, on first use, and
-    read from one table after that. f(lcm) is evaluated only when
-    f(gcd) != 0, since the rhs is 0 otherwise; an lcm beyond the window is
-    evaluated directly (ArithFn is total, so no truncation happens). Pairs
-    where {gcd, lcm} equals {m, n} hold trivially and are skipped.
+
+def check_rearick(f: ArithFn, window: int) -> ClassReport:
+    """Decide the gcd-lcm identity f(m) f(n) = f((m,n)) f([m,n]) for all
+    m, n <= window; a refutation carries the (m, n)-least failing pair.
+
+    With a the least support point, W' = W // a and c = f(a), the identity
+    holds on 1..W exactly when check_semimultiplicative is consistent or
+    identically zero and c f(a u v) = f(a u) f(a v) at one coprime split
+    u < v <= W' of each product u v > W' (_wide_splits).
+    =>: Rearick at (a u, a v), (u, v) = 1, reads f(a) f(a u v) =
+    f(a u) f(a v); a semimultiplicative witness (m, n) gives the Rearick
+    witness (a m, a n), a support witness n gives (a, n), as f(gcd) = 0.
+    <=: G(N) = f(a N) / c is multiplicative on 1..W' (the two-split
+    induction of coprime_pairs), so each N = u v > W' has G(N) = G(u) G(v)
+    = prod G(p^e), all p^e <= W'. For m, n <= W with a not dividing m,
+    f(m) = 0 = f((m,n)). Otherwise m = a m', n = a n', and [m',n'] is <= W'
+    or the product of its unitary divisors in m' and in n', so both sides
+    c^2 G(m') G(n') and c^2 G((m',n')) G([m',n']) reduce prime by prime to
+    G(p^e_m) G(p^e_n), as {min, max} = {e_m, e_n}.
+
+    So a failed decision always has a pair witness, and only then does the
+    sweep of every pair m < n <= W run, in (m, n) order, for the least one.
+    It evaluates f(lcm), possibly past the window, only when f(gcd) != 0,
+    and skips pairs where {gcd, lcm} = {m, n}, which hold trivially.
     """
-    _require_window(window)
+    semi = check_semimultiplicative(f, window)
+    if semi.verdict == IDENTICALLY_ZERO:
+        return _report(REARICK, window, None)
+    values = _WindowValues(f, window).__getitem__
+    a = semi.a
+    if semi.consistent and (
+        _sweep(values, LAW_SHIFTED, _wide_splits(window // a), c=semi.c, a=a) is None
+    ):
+        return _report(REARICK, window, None)
     pairs = (
         (m, n) for m in range(1, window + 1) for n in range(m + 1, window + 1) if n % m
     )
-    values = _WindowValues(f, window).__getitem__
     return _report(REARICK, window, _sweep(values, LAW_REARICK, pairs))
 
 
@@ -467,16 +506,35 @@ def extract_selberg(
     return SelbergFactorization(rep.c, a, window, tables, f)
 
 
+def _derived(klass: str, law: str, semi: ClassReport, f: Callable, **known) -> ClassReport:
+    """The report of a law with the instances and values of semi's: semi's
+    verdict, and the law evaluated afresh at the pair of semi's witness."""
+    w = semi.witness
+    if w is not None:
+        w = _sweep(f, law, [(w.m, w.n)], c=semi.c)
+    return _report(klass, semi.window, w, **known)
+
+
 def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
     """All four class checks for one function.
+
+    At the shift a = 1 the quasimultiplicative instances and values are the
+    semimultiplicative ones, as are the multiplicative ones when also
+    f(1) = 1, so those rows take its verdict; any other f refutes them fast.
 
     In one variable the Selberg class coincides with the semimultiplicative
     class, so the selberg report carries the semimultiplicative verdict plus
     the extracted factor system when consistent.
     """
-    mult = check_multiplicative(f, window)
-    quasi = check_quasimultiplicative(f, window)
     semi = check_semimultiplicative(f, window)
+    if semi.a == 1:
+        quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI, semi, f, c=semi.c)
+    else:
+        quasi = check_quasimultiplicative(f, window)
+    if semi.a == 1 and semi.c == 1:
+        mult = _derived(MULTIPLICATIVE, LAW_MULT, semi, f)
+    else:
+        mult = check_multiplicative(f, window)
     selberg = replace(semi, klass=SELBERG)
     if semi.verdict == CONSISTENT:
         selberg.selberg = extract_selberg(f, window, report=semi)

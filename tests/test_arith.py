@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from multclass import arith
 from multclass import numtheory as nt
 from multclass.arith import (
     ArithFn,
@@ -165,6 +166,18 @@ def test_sum_of_squares_known_values():
     for s in (3, 2.0, 4.0, True):
         with pytest.raises(ValueError):
             sum_of_squares(s)
+
+
+def test_square_tables_stop_doubling_at_the_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_square_tables", {})
+    monkeypatch.setattr(arith, "SQUARES_BUDGET", 300)
+    assert len(arith._square_rep_counts(2, 200)) == 257
+    # doubling would build 512 entries; the budget caps the build at 300
+    counts = arith._square_rep_counts(2, 257)
+    assert len(counts) == 301
+    assert [counts[n] for n in (1, 2, 3, 4, 5, 25, 289)] == [4, 4, 0, 4, 8, 12, 12]
+    # an argument past the budget still gets its table
+    assert len(arith._square_rep_counts(2, 400)) == 401
 
 
 def test_format_rational():

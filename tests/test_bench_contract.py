@@ -6,6 +6,7 @@ imports a fixed set of names; a refactor that drops or rebinds one of them
 would otherwise only show in a traced benchmark run.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -66,7 +67,12 @@ def test_traced_layers_see_the_checkers(tracer):
     undo = tracer.install()
     try:
         with tracer.job("contract"):
+            # classify_all derives phi's multiplicative and quasimultiplicative
+            # rows from its semimultiplicative sweep, so those two checkers
+            # are called on their own
             classes.classify_all(classical("euler_phi"), 64)
+            classes.check_multiplicative(classical("euler_phi"), 64)
+            classes.check_quasimultiplicative(classical("euler_phi"), 64)
             classes.check_rearick(classical("mobius"), 16)
             multivar.classify_all_u(multivar.tensor(classical("mobius"), classical("one")), 6)
     finally:
@@ -76,7 +82,17 @@ def test_traced_layers_see_the_checkers(tracer):
         for name in names:
             assert metrics[f"{module}.{name}.s"] > 0, f"{module}.{name}"
     # two splits per product with two or more prime factors, one otherwise:
-    # 100 for N <= 64, in each of the three coprime-pair sweeps
-    assert metrics["classes.coprime_pairs.pairs"] == 300
+    # 100 for N <= 64 in each of the three sweeps at window 64, and 21 for
+    # N <= 16 in check_rearick's semimultiplicative check; its products past
+    # 16 are split by _wide_splits, which is not counted
+    assert metrics["classes.coprime_pairs.pairs"] == 3 * 100 + 21
     assert metrics["arith.eval.calls"] > 0
     assert metrics["multivar.eval.calls"] > 0
+
+
+def test_pinned_digests_name_every_workload():
+    spec = json.loads((BENCH.parent / "BENCHMARK.json").read_text())
+    pinned = Path(__file__).with_name("bench_digests.txt").read_text().splitlines()
+    rows = [line.split() for line in pinned if line and not line.startswith("#")]
+    assert [w for w, _ in rows] == [w["name"] for w in spec["workloads"]]
+    assert all(d.startswith("sha256:") and len(d) == 71 for _, d in rows)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,13 @@ from multclass.classes import (
     IDENTICALLY_ZERO,
     LAW_MULT,
     LAW_QUASI,
+    LAW_REARICK,
     LAW_SHIFTED,
     LAW_SUPPORT,
     LAW_UNIT,
     MULTIPLICATIVE,
     QUASIMULTIPLICATIVE,
+    REARICK,
     REFUTED,
     SELBERG,
     SEMIMULTIPLICATIVE,
@@ -25,6 +28,7 @@ from multclass.classes import (
     _report,
     _splits,
     _sweep,
+    _wide_splits,
     check_multiplicative,
     check_quasimultiplicative,
     check_rearick,
@@ -318,6 +322,112 @@ def test_coprime_checkers_match_the_full_sweep(spec):
     f = build_near_member(**spec)
     got = [report_fields(r) for r in coprime_reports(f, spec["window"])]
     assert got == [report_fields(r) for r in full_sweep_reports(f, spec["window"])]
+
+
+def classify_all_by_three_checkers(f, window):
+    """classify_all as one call of each coprime-pair checker gives it."""
+    semi = check_semimultiplicative(f, window)
+    selberg = replace(semi, klass=SELBERG)
+    if semi.verdict == CONSISTENT:
+        selberg.selberg = extract_selberg(f, window, report=semi)
+    return {
+        MULTIPLICATIVE: check_multiplicative(f, window),
+        QUASIMULTIPLICATIVE: check_quasimultiplicative(f, window),
+        SEMIMULTIPLICATIVE: semi,
+        SELBERG: selberg,
+    }
+
+
+def all_fields(reports):
+    """Every row's fields, by repr, so that 1 and Fraction(1) differ."""
+    out = {}
+    for klass, rep in reports.items():
+        fac = rep.selberg
+        tables = None if fac is None else (repr(fac.constant), fac.a, repr(fac.tables))
+        out[klass] = (repr(report_fields(rep)), tables)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_members())
+def test_classify_all_matches_the_three_checkers(spec):
+    f, window = build_near_member(**spec), spec["window"]
+    got = classify_all(f, window)
+    expected = classify_all_by_three_checkers(f, window)
+    assert list(got) == list(expected)
+    assert all_fields(got) == all_fields(expected)
+
+
+def test_classify_all_evaluates_the_law_of_each_row():
+    # f(1) = Fraction(1), so the multiplicative row is derived too, with
+    # its own law and sides and no shift
+    f = ArithFn("near", lambda n: 5 if n == 6 else Fraction(1) * mobius(n))
+    reps = classify_all(f, 16)
+    assert all_fields(reps) == all_fields(classify_all_by_three_checkers(f, 16))
+    rows = [reps[k].witness for k in (MULTIPLICATIVE, QUASIMULTIPLICATIVE, SEMIMULTIPLICATIVE)]
+    assert [(w.m, w.n, w.law, w.shift) for w in rows] == [
+        (2, 3, LAW_MULT, None),
+        (2, 3, LAW_QUASI, None),
+        (2, 3, LAW_SHIFTED, 1),
+    ]
+    assert reps[QUASIMULTIPLICATIVE].reason == "f(1)*f(6) = 5 but f(2)*f(3) = 1"
+
+
+@st.composite
+def lcm_perturbed(draw):
+    """A near member on a window of at most 40, with up to three more values
+    changed at a * lcm(u, v) for u, v <= W // a: points the Rearick identity
+    reaches past the window through the lcm of two multiples of a."""
+    spec = draw(near_members())
+    window = spec["window"] = draw(st.integers(1, 40))
+    top = max(1, window // spec["a"])
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(1, top)), draw(st.integers(1, top))
+        spec["changes"][spec["a"] * math.lcm(u, v)] = draw(VALUES)
+    return spec
+
+
+def rearick_fields(rep):
+    w = rep.witness
+    seen = None if w is None else (w.m, w.n, w.lhs, w.rhs, rep.reason)
+    return rep.klass, rep.verdict, rep.c, rep.a, seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(lcm_perturbed())
+def test_rearick_matches_the_pair_sweep(spec):
+    f, window = build_near_member(**spec), spec["window"]
+    rep = check_rearick(f, window)
+    expected = brute_rearick(f, window)
+    verdict = CONSISTENT if expected is None else REFUTED
+    assert rearick_fields(rep) == (REARICK, verdict, None, None, expected)
+    if rep.witness is not None:
+        assert rep.witness.law == LAW_REARICK
+        assert recheck_witness(f, rep.witness)
+
+
+def test_rearick_reads_products_past_the_window():
+    # semimultiplicative on 1..40, but f(42) breaks f(6) f(7) = f(1) f(42)
+    f = perturb(phi, 42, 0)
+    assert check_semimultiplicative(f, 40).verdict == CONSISTENT
+    rep = check_rearick(f, 40)
+    w = rep.witness
+    assert (rep.verdict, w.m, w.n, w.lhs, w.rhs, rep.reason) == (REFUTED, *brute_rearick(f, 40))
+    assert math.lcm(w.m, w.n) == 42
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 10, 31])
+def test_wide_splits_visit_each_product_past_the_bound_once(bound):
+    products = {
+        u * v
+        for u in range(1, bound + 1)
+        for v in range(u + 1, bound + 1)
+        if math.gcd(u, v) == 1 and u * v > bound
+    }
+    for block in (1, 7, 1 << 20):
+        splits = list(_wide_splits(bound, block))
+        assert all(u < v <= bound and math.gcd(u, v) == 1 for u, v in splits)
+        assert sorted(u * v for u, v in splits) == sorted(products)
 
 
 @pytest.mark.parametrize("window, count", [(1, 1), (64, 100), (16384, 30806)])
