@@ -301,8 +301,9 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
-    is evaluated once and kept; any other argument is passed to f itself and
-    not stored here, so only f's own memo keeps it.
+    is evaluated once and kept. An argument past the window, such as a
+    Rearick product, is mostly read once, so it is kept nowhere: an ArithFn
+    evaluates it bypassing its memo, any other f is called.
 
     For tuple points, window is the corner (W, ..., W) of the window box.
     Tuples compare lexicographically, so every box point is kept; the tuple
@@ -310,13 +311,14 @@ class _WindowValues(dict):
 
     def __init__(self, f: Callable, window: AnyPoint):
         super().__init__()
-        self.f = f
-        self.window = window
+        self.f, self.past, self.window = f, f, window
+        if isinstance(f, ArithFn):
+            self.past = f._eval.__wrapped__ if hasattr(f._eval, "cache_info") else f._eval
 
     def __missing__(self, n: int) -> Rational:
-        value = self.f(n)
-        if n <= self.window:
-            self[n] = value
+        if n > self.window:
+            return self.past(n)
+        value = self[n] = self.f(n)
         return value
 
 
@@ -378,9 +380,10 @@ def _wide_splits(bound: int, block: int = 1 << 20) -> Iterator[tuple[int, int]]:
                 yield u, v
 
 
-def check_rearick(f: ArithFn, window: int) -> ClassReport:
+def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -> ClassReport:
     """Decide the gcd-lcm identity f(m) f(n) = f((m,n)) f([m,n]) for all
     m, n <= window; a refutation carries the (m, n)-least failing pair.
+    semi is f's check_semimultiplicative report on the window, if at hand.
 
     With a the least support point, W' = W // a and c = f(a), the identity
     holds on 1..W exactly when check_semimultiplicative is consistent or
@@ -402,7 +405,10 @@ def check_rearick(f: ArithFn, window: int) -> ClassReport:
     It evaluates f(lcm), possibly past the window, only when f(gcd) != 0,
     and skips pairs where {gcd, lcm} = {m, n}, which hold trivially.
     """
-    semi = check_semimultiplicative(f, window)
+    _require_window(window)
+    semi = semi or check_semimultiplicative(f, window)
+    if (semi.klass, semi.window, semi.arity) != (SEMIMULTIPLICATIVE, window, 1):
+        raise ValueError(f"need a one-variable semimultiplicative report on window {window}")
     if semi.verdict == IDENTICALLY_ZERO:
         return _report(REARICK, window, None)
     values = _WindowValues(f, window).__getitem__
@@ -425,6 +431,18 @@ def _coords(pt: AnyPoint) -> tuple[int, ...]:
 
 def _like(pt: AnyPoint, coords: Sequence[int]) -> AnyPoint:
     return coords[0] if isinstance(pt, int) else tuple(coords)
+
+
+def _signature(p: int, coords: Sequence[int]) -> tuple[int, ...]:
+    """The exponent of p in each coordinate; p is a known prime, not retested."""
+    out = []
+    for x in coords:
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        out.append(e)
+    return tuple(out)
 
 
 @dataclass(eq=False)
@@ -461,7 +479,7 @@ class SelbergFactorization:
         ps = {p for x in coords + _coords(self.a) for p in nt.factorize(x).primes()}
         val = Fraction(self.constant)
         for p in sorted(ps):
-            val *= self.factor(p, _like(pt, [nt.nu(p, x) for x in coords]))
+            val *= self.factor(p, _like(pt, _signature(p, coords)))
         return val
 
 
@@ -482,13 +500,13 @@ def extract_selberg(
             f"(verdict {rep.verdict})"
         )
     assert rep.a is not None and rep.c is not None
-    a, c = rep.a, Fraction(rep.c)
-    one_var = isinstance(a, int)
+    a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
+    coords, one_var, zero, one = _coords(a), isinstance(a, int), Fraction(0), Fraction(1)
     tables: dict[int, dict[AnyPoint, Fraction]] = {}
     for p in nt.primes_up_to(window):
         axes = []  # per coordinate, the probe by exponent: None below nu_p(a_i)
-        for ai in _coords(a):
-            axes.append([None] * nt.nu(p, ai))
+        for ai, na in zip(coords, _signature(p, coords)):
+            axes.append([None] * na)
             while ai <= window:
                 axes[-1].append(ai)
                 ai *= p
@@ -497,11 +515,12 @@ def extract_selberg(
         for e, probe in zip(exponents, itertools.product(*axes)):
             key, pt = (e[0], probe[0]) if one_var else (e, probe)
             if None in probe:
-                col[key] = Fraction(0)
+                col[key] = zero
             elif pt == a:
-                col[key] = Fraction(1)  # f(a) / c with c = f(a)
+                col[key] = one  # f(a) / c with c = f(a)
             else:
-                col[key] = Fraction(f(pt)) / c
+                v = f(pt)  # f(pt) / c, normalized once
+                col[key] = Fraction(v.numerator * den, v.denominator * num)
         tables[p] = col
     return SelbergFactorization(rep.c, a, window, tables, f)
 

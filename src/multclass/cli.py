@@ -317,7 +317,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
         )
     if isinstance(fn, ArithFn):
         reports = classify_all(fn, args.window)
-        reports[REARICK] = check_rearick(fn, args.window)
+        reports[REARICK] = check_rearick(fn, args.window, reports[SEMIMULTIPLICATIVE])
     else:
         reports = classify_all_u(fn, args.window)
     rows = [_row(rep) for rep in reports.values()]

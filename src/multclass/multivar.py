@@ -63,6 +63,7 @@ from .classes import (
     _pmul,
     _report,
     _require_window,
+    _signature,
     _sweep,
     check_multiplicative,
     extract_selberg,
@@ -275,17 +276,6 @@ def extract_selberg_u(f: MultiArithFn, window: int, report: Optional[ClassReport
     return extract_selberg(f, window, report or check_semimultiplicative_u(f, window))
 
 
-def _signature(p: int, pt: Point) -> Point:
-    out = []
-    for x in pt:
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        out.append(e)
-    return tuple(out)
-
-
 @dataclass
 class SelbergSystem:
     """A concrete per-prime factor system fitted to one window.
@@ -304,8 +294,7 @@ class SelbergSystem:
     def predict(self, pt: Point) -> Fraction:
         val = self.constant
         for p, col in self.tables.items():
-            sig = _signature(p, pt)
-            val *= col[sig]
+            val *= col[_signature(p, pt)]
         return val
 
 
@@ -520,14 +509,7 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
             break
 
     return TwoVariableReport(
-        window,
-        even_ok,
-        even_witness,
-        mult_ok,
-        mult_witness,
-        conclusion,
-        chain_ok,
-        chain_witness,
+        window, even_ok, even_witness, mult_ok, mult_witness, conclusion, chain_ok, chain_witness
     )
 
 
@@ -541,7 +523,5 @@ def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
     }
     semi = reports[SEMIMULTIPLICATIVE]
     if semi.verdict == CONSISTENT:
-        reports[SEMIMULTIPLICATIVE].factorization = extract_selberg_u(
-            f, window, report=semi
-        )
+        semi.factorization = extract_selberg_u(f, window, report=semi)
     return reports

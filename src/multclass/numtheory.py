@@ -112,7 +112,6 @@ def set_sieve_bound(bound: int) -> None:
     _table = _EMPTY
     factorize.cache_clear()
     divisors.cache_clear()
-    unitary_divisors.cache_clear()
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -174,10 +173,10 @@ class Factorization:
 
 
 # The table walk is cheap; the cache serves the repeated reads of divisors,
-# the Ramanujan sums and arguments past the bound. 2**14 entries hold the
+# the Ramanujan sums and the window's points. 2**14 entries hold the
 # working set of classify sweeps up to W = 16384 (on the classify-1v
-# benchmark, 2**13 drops the hit ratio from 0.95 to 0.54) without keeping
-# every lcm of a Rearick sweep alive.
+# benchmark, 2**13 drops the hit ratio from 0.95 to 0.54); a Rearick sweep's
+# products past the window, each factored once, age out of it.
 @lru_cache(maxsize=1 << 14)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 by walking the smallest-prime-factor table.
@@ -288,7 +287,6 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(ds))
 
 
-@lru_cache(maxsize=1 << 14)
 def unitary_divisors(n: int) -> tuple[int, ...]:
     """Divisors d of n with gcd(d, n/d) = 1, ascending; there are 2**omega(n)."""
     ds = [1]

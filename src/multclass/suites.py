@@ -85,7 +85,7 @@ def suite_rearick(window: int) -> SuiteResult:
     checks = []
     for f in corpus():
         semi = check_semimultiplicative(f, window)
-        rea = check_rearick(f, window)
+        rea = check_rearick(f, window, semi)
         semi_ok = semi.verdict in (CONSISTENT, IDENTICALLY_ZERO)
         agree = (rea.verdict == CONSISTENT) == semi_ok
         checks.append(Check(f.name, agree, f"rearick={rea.verdict} semi={semi.verdict}"))

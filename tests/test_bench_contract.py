@@ -44,6 +44,21 @@ def test_inproc_names_import():
     from multclass.numtheory import factorize, sieve_bound  # noqa: F401
 
 
+def test_memo_statistics_stay_readable():
+    # spans.py reads cache_info() of every memoized function a traced job
+    # calls, and of factorize and divisors
+    from multclass import numtheory as nt
+    from multclass.arith import ArithFn, classical
+    from multclass.multivar import MultiArithFn, tensor
+
+    fns = [classical("euler_phi"), ArithFn("square", lambda n: n * n), tensor(classical("one"))]
+    assert isinstance(fns[-1], MultiArithFn)
+    for f in fns:
+        assert f._eval.cache_info().maxsize > 0, f
+    for fn in (nt.factorize, nt.divisors):
+        assert fn.cache_info().maxsize > 0, fn
+
+
 def test_tracer_installs_and_undoes(tracer):
     from multclass import arith, classes, multivar
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multclass import numtheory as nt
-from multclass.arith import ArithFn, classical, dirichlet, pointwise_product, scale
+from multclass.arith import MEMO_SIZE, ArithFn, classical, dirichlet, pointwise_product, scale
 from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
@@ -162,6 +162,24 @@ def test_extract_selberg_c4():
     for p in fac.tables:
         if p != 2:
             assert all(v == 1 for v in fac.tables[p].values()), p
+
+
+def test_extract_selberg_tables_are_the_probe_ratios():
+    window = 48
+    for f in corpus() + [scale(c_fn(5), Fraction(3, 2)), scale(c_bar_fn(12), Fraction(-5, 7))]:
+        semi = check_semimultiplicative(f, window)
+        if semi.verdict != CONSISTENT:
+            continue
+        a, c = semi.a, Fraction(semi.c)
+        for p, col in extract_selberg(f, window, report=semi).tables.items():
+            na = nt.nu(p, a)
+            top = na  # the largest exponent whose probe fits in the window
+            while a * p ** (top + 1 - na) <= window:
+                top += 1
+            assert sorted(col) == list(range(top + 1)), (f.name, p)
+            for e, v in col.items():
+                want = Fraction(0) if e < na else Fraction(f(a * p ** (e - na))) / c
+                assert type(v) is Fraction and v == want, (f.name, p, e)
 
 
 def test_extract_selberg_requires_consistency():
@@ -414,6 +432,32 @@ def test_rearick_reads_products_past_the_window():
     w = rep.witness
     assert (rep.verdict, w.m, w.n, w.lhs, w.rhs, rep.reason) == (REFUTED, *brute_rearick(f, 40))
     assert math.lcm(w.m, w.n) == 42
+
+
+@pytest.mark.parametrize("at, verdict", [(None, CONSISTENT), (66, REFUTED)])
+def test_rearick_keeps_values_past_the_window_out_of_the_memo(at, verdict):
+    # at 66 = 6 * 11 > 64 the window stays semimultiplicative, so the
+    # decision and then the pair sweep read lcm values past the window
+    g = ArithFn("phi'", lambda n: 0 if n == at else nt.euler_phi(n))
+    assert check_rearick(g, 64).verdict == verdict
+    assert g._eval.cache_info().currsize <= 64
+
+
+def test_rearick_bounds_the_memo_of_an_inner_function():
+    inner = ArithFn("phi'", nt.euler_phi)
+    assert check_rearick(scale(inner, 2), 160).verdict == CONSISTENT
+    info = inner._eval.cache_info()
+    assert info.currsize <= MEMO_SIZE < info.misses
+
+
+def test_rearick_takes_the_semimultiplicative_report():
+    for f in corpus():
+        semi = check_semimultiplicative(f, 32)
+        assert check_rearick(f, 32, semi) == check_rearick(f, 32), f.name
+    semi = check_semimultiplicative(phi, 32)
+    for field in ({"window": 16}, {"klass": QUASIMULTIPLICATIVE}, {"arity": 2}):
+        with pytest.raises(ValueError, match="semimultiplicative report on window 32"):
+            check_rearick(phi, 32, replace(semi, **field))
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 10, 31])
