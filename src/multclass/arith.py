@@ -3,10 +3,11 @@
 An ArithFn pairs a total map from positive integers to ints or Fractions
 with a short printable name. Values stay exact end to end: convolutions and
 products are computed over the divisor lattice with integer/Fraction
-arithmetic only. Evaluation is memoized per function, at most MEMO_SIZE
-values each; the checkers read arguments past their window unmemoized.
-The cache only skips recomputation and never changes a value, so sharing a
-function between threads is safe.
+arithmetic only. Every function memoizes its evaluation, at most
+MEMO_SIZE values each; the checkers read arguments past their window
+through the function under the memo. The cache only skips recomputation
+and never changes a value, so sharing a function between threads is safe.
+Integer parameters are checked when a function is built.
 """
 
 from __future__ import annotations
@@ -46,9 +47,9 @@ class ArithFn:
 
     __slots__ = ("name", "_eval")
 
-    def __init__(self, name: str, fn: Callable[[int], Rational], memo: bool = True):
+    def __init__(self, name: str, fn: Callable[[int], Rational]):
         self.name = name
-        self._eval = lru_cache(maxsize=MEMO_SIZE)(fn) if memo else fn
+        self._eval = lru_cache(maxsize=MEMO_SIZE)(fn)
 
     def __call__(self, n: int) -> Rational:
         # exact ints take one type test; other types pay for the bool test
@@ -70,7 +71,7 @@ def _mobius_eval(n: int) -> int:
 mobius = ArithFn("mobius", _mobius_eval)
 euler_phi = ArithFn("phi", nt.euler_phi)
 one = ArithFn("one", lambda n: 1)
-identity_n = ArithFn("identity", lambda n: n, memo=False)
+identity_n = ArithFn("identity", lambda n: n)
 
 _CLASSICAL = {
     "mobius": mobius,
@@ -93,8 +94,7 @@ def classical(name: str) -> ArithFn:
 
 def eta(k: int) -> ArithFn:
     """m -> m when m divides k, else 0."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"eta parameter must be a positive integer, got {k!r}")
+    nt._check_int(k, "eta parameter")
     return ArithFn(f"eta:{k}", lambda m: m if k % m == 0 else 0)
 
 
@@ -137,8 +137,7 @@ def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
     gcd_k: f(gcd(k, n)); lcm_k: f(lcm(k, n)). Quotients that are not
     positive integers contribute 0 (zero extension).
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"composition parameter must be a positive integer, got {k!r}")
+    nt._check_int(k, "composition parameter")
     if kind == "dilate_kn":
         fn = lambda n: f(k * n)
     elif kind == "k_over_n":
@@ -200,4 +199,4 @@ def sum_of_squares(s: int) -> ArithFn:
             raise ValueError(f"r{s} enumeration is budgeted to n <= {SQUARES_BUDGET}, got {n}")
         return _square_rep_counts(s, n)[n]
 
-    return ArithFn(f"r{s}", fn, memo=False)
+    return ArithFn(f"r{s}", fn)

@@ -17,12 +17,12 @@ recheck_witness replays witnesses of either kind through the same table.
 
 Sweeps run in a fixed order, so reports are deterministic and the stored
 witness is the least one: by (m*n, m) for one-variable coprime pairs,
-lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. The
-one-variable coprime sweep checks two splits per product, which finds the
-least failing product (see coprime_pairs), then scans that product's splits
-by m. The tuple sweeps in multivar check two splits per box point, which
-decides the law, and only when it fails rerun the lexicographic sweep of
-every tuple pair for the witness.
+lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. One
+sweep, _least_sweep, finds the least witness of a coprime-pair law in any
+arity: two splits per product (coprime_pairs) or per box point (in
+multivar) decide the law, and only a failure sweeps for the witness, over
+the failing product's splits by m in one variable and over every tuple pair
+in several.
 classify_all derives two rows from the semimultiplicative sweep (see
 there). check_rearick decides its law by Rearick's theorem and sweeps every
 pair only for a refutation's witness.
@@ -257,7 +257,7 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
     holds at every split of every product below N and at these two, take a
     split m n = N with q | m, m = q m'. Then c^2 F(N) = c F(q) F(m' n) =
     F(q) F(m') F(n) = c F(m) F(n). So the first product with a failing
-    split is the first N failing here; _splits(N) then gives the least
+    split is the first N failing here; _splits then gives the least
     witness.
     """
     for prod in range(1, bound + 1):
@@ -269,30 +269,43 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
             yield q, prod // q
 
 
-def _splits(prod: int) -> Iterator[tuple[int, int]]:
-    """Every ordered coprime pair (m, n) with m*n = prod: m runs over the
-    unitary divisors of prod, ascending."""
-    for m in nt.unitary_divisors(prod):
-        yield m, prod // m
+def _splits(m: int, n: int) -> Iterator[tuple[int, int]]:
+    """Every ordered coprime pair (d, m*n // d): d runs over the unitary
+    divisors of m*n, ascending."""
+    prod = m * n
+    for d in nt.unitary_divisors(prod):
+        yield d, prod // d
 
 
-def _coprime_sweep(
-    f: Callable, law: str, bound: int, c: Rational = 1, a: Optional[int] = None
+def _least_sweep(
+    f: Callable,
+    law: str,
+    splits: Iterable[tuple],
+    witness_pairs: Callable[[AnyPoint, AnyPoint], Iterable[tuple]],
+    mul: Callable = operator.mul,
+    c: Rational = 1,
+    a: Optional[AnyPoint] = None,
 ) -> Optional[Witness]:
-    """The (m*n, m)-least coprime pair with m*n <= bound at which the law
-    fails: the two-split sweep finds the product, a full scan of its splits
-    the pair."""
-    w = _sweep(f, law, coprime_pairs(bound), c=c, a=a)
-    if w is None:
-        return None
-    return _sweep(f, law, _splits(w.m * w.n), c=c, a=a)
+    """The least instance at which the law fails, in any arity: the
+    two-split sweep (coprime_pairs, multivar._tuple_splits) decides, and
+    only when it fails at (m, n) are witness_pairs(m, n), in witness order,
+    swept for the witness."""
+    w = _sweep(f, law, splits, mul, c, a)
+    return None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)
 
 
 def _require_window(window: int, arity: int = 1) -> None:
-    if isinstance(window, bool) or not isinstance(window, int) or window < 1:
-        raise ValueError(f"window must be a positive integer, got {window!r}")
+    nt._check_int(window, "window")
     if arity > 3:
         raise ValueError(f"windows are capped at arity 3, got {arity}")
+
+
+def _require_semi(rep: ClassReport, window: int, arity: int) -> None:
+    """Refuse a handed-in report that is not f's semimultiplicative report
+    on this window and arity."""
+    if (rep.klass, rep.window, rep.arity) != (SEMIMULTIPLICATIVE, window, arity):
+        what = "a one-variable" if arity == 1 else f"an arity-{arity}"
+        raise ValueError(f"need {what} semimultiplicative report on window {window}")
 
 
 def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
@@ -303,17 +316,17 @@ class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
     is evaluated once and kept. An argument past the window, such as a
     Rearick product, is mostly read once, so it is kept nowhere: an ArithFn
-    evaluates it bypassing its memo, any other f is called.
+    evaluates it through the function under its memo, any other f is
+    called.
 
     For tuple points, window is the corner (W, ..., W) of the window box.
-    Tuples compare lexicographically, so every box point is kept; the tuple
-    sweeps read no point outside the box."""
+    Tuples compare lexicographically, so every box point is kept; every
+    tuple checker reads only points of the box."""
 
     def __init__(self, f: Callable, window: AnyPoint):
         super().__init__()
-        self.f, self.past, self.window = f, f, window
-        if isinstance(f, ArithFn):
-            self.past = f._eval.__wrapped__ if hasattr(f._eval, "cache_info") else f._eval
+        self.f, self.window = f, window
+        self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else f
 
     def __missing__(self, n: int) -> Rational:
         if n > self.window:
@@ -326,7 +339,8 @@ def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
     """Sweep f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
     _require_window(window)
     values = _WindowValues(f, window).__getitem__
-    return _report(MULTIPLICATIVE, window, _coprime_sweep(values, LAW_MULT, window))
+    w = _least_sweep(values, LAW_MULT, coprime_pairs(window), _splits)
+    return _report(MULTIPLICATIVE, window, w)
 
 
 def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
@@ -345,7 +359,7 @@ def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(QUASIMULTIPLICATIVE, window, w)
     f1 = values(1)
-    w = _coprime_sweep(values, LAW_QUASI, window, c=f1)
+    w = _least_sweep(values, LAW_QUASI, coprime_pairs(window), _splits, c=f1)
     return _report(QUASIMULTIPLICATIVE, window, w, c=f1)
 
 
@@ -361,7 +375,7 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
-    w = _coprime_sweep(values, LAW_SHIFTED, window // a, c=fa, a=a)
+    w = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, c=fa, a=a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
 
 
@@ -407,8 +421,7 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     """
     _require_window(window)
     semi = semi or check_semimultiplicative(f, window)
-    if (semi.klass, semi.window, semi.arity) != (SEMIMULTIPLICATIVE, window, 1):
-        raise ValueError(f"need a one-variable semimultiplicative report on window {window}")
+    _require_semi(semi, window, 1)
     if semi.verdict == IDENTICALLY_ZERO:
         return _report(REARICK, window, None)
     values = _WindowValues(f, window).__getitem__
@@ -457,7 +470,6 @@ class SelbergFactorization:
 
     constant: Rational
     a: AnyPoint
-    window: int
     tables: dict[int, dict[AnyPoint, Fraction]]
     source: Callable
 
@@ -491,15 +503,16 @@ def extract_selberg(
     probe_i = a_i p^(e_i - nu_p(a_i)), and F_p(e) = 0 as soon as one e_i
     drops below nu_p(a_i). The report defaults to the one-variable check,
     so a multivariable f needs a report or extract_selberg_u."""
-    if report is None and getattr(f, "arity", 1) != 1:
-        raise ValueError(f"{f.name} has arity {f.arity}; use extract_selberg_u or pass a report")
+    arity = getattr(f, "arity", 1)
+    if report is None and arity != 1:
+        raise ValueError(f"{f.name} has arity {arity}; use extract_selberg_u or pass a report")
     rep = report if report is not None else check_semimultiplicative(f, window)
+    _require_semi(rep, window, arity)
     if rep.verdict != CONSISTENT:
         raise ValueError(
             f"{f.name} is not semimultiplicative-consistent on window {window} "
             f"(verdict {rep.verdict})"
         )
-    assert rep.a is not None and rep.c is not None
     a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
     coords, one_var, zero, one = _coords(a), isinstance(a, int), Fraction(0), Fraction(1)
     tables: dict[int, dict[AnyPoint, Fraction]] = {}
@@ -522,7 +535,7 @@ def extract_selberg(
                 v = f(pt)  # f(pt) / c, normalized once
                 col[key] = Fraction(v.numerator * den, v.denominator * num)
         tables[p] = col
-    return SelbergFactorization(rep.c, a, window, tables, f)
+    return SelbergFactorization(rep.c, a, tables, f)
 
 
 def _derived(klass: str, law: str, semi: ClassReport, f: Callable, **known) -> ClassReport:

@@ -19,11 +19,12 @@ per-prime zero patterns, then the nonzero values must satisfy the ratio
 constraints once the per-prime gauge freedom is fixed by anchoring
 F_p(0,...,0) = 1 wherever the support permits.
 
-The multiplicative, quasimultiplicative and semimultiplicative checkers
-read f through one value table of the window box. They decide with two
-coprime splits per box point (_tuple_splits), and only a refuted law
-reruns the lexicographic sweep of every coprime pair
-(_coprime_tuple_pairs), which gives the lexicographically least witness.
+Every checker reads f through one value table of the window box
+(_values). The multiplicative, quasimultiplicative and semimultiplicative
+checkers run classes._least_sweep: two coprime splits per box point
+(_tuple_splits) decide, and only a refuted law reruns the lexicographic
+sweep of every coprime pair (_coprime_tuple_pairs), which gives the
+lexicographically least witness.
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -60,6 +61,7 @@ from .classes import (
     Witness,
     _WindowValues,
     _least_support,
+    _least_sweep,
     _pmul,
     _report,
     _require_window,
@@ -84,8 +86,7 @@ class MultiArithFn:
     __slots__ = ("name", "arity", "_eval")
 
     def __init__(self, name: str, arity: int, fn: Callable[[Point], Rational]):
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
-            raise ValueError(f"arity must be a positive integer, got {arity!r}")
+        nt._check_int(arity, "arity")
         self.name = name
         self.arity = arity
         self._eval = lru_cache(maxsize=MEMO_SIZE)(fn)
@@ -185,25 +186,9 @@ def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
             yield qvec, tuple(x // y for x, y in zip(pt, qvec))
 
 
-def _tuple_sweep(
-    values: Callable,
-    law: str,
-    caps: Sequence[int],
-    pairs: Iterator[tuple[Point, Point]],
-    c: Rational = 1,
-    a: Optional[Point] = None,
-) -> Optional[Witness]:
-    """The first of pairs, the box's coprime pairs in lexicographic order,
-    at which the law fails. The two-split sweep of the box decides, so only
-    a refuted law runs through pairs to find the witness."""
-    if _sweep(values, law, _tuple_splits(caps), _pmul, c=c, a=a) is None:
-        return None
-    return _sweep(values, law, pairs, _pmul, c=c, a=a)
-
-
 def _values(f: MultiArithFn, window: int) -> Callable[[Point], Rational]:
-    """f read through one table of the window box; every tuple sweep reads
-    only points of that box."""
+    """f read through one table of the window box; every tuple checker
+    reads only points of that box."""
     return _WindowValues(f, (window,) * f.arity).__getitem__
 
 
@@ -212,7 +197,8 @@ def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     _require_window(window, f.arity)
     caps = (window,) * f.arity
     pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    w = _tuple_sweep(_values(f, window), LAW_MULT_U, caps, pairs)
+    values = _values(f, window)
+    w = _least_sweep(values, LAW_MULT_U, _tuple_splits(caps), lambda m, n: pairs, _pmul)
     return _report(MULTIPLICATIVE, window, w, arity=f.arity)
 
 
@@ -230,7 +216,7 @@ def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     f1 = values(ones)
     caps = (window,) * f.arity
     pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    w = _tuple_sweep(values, LAW_QUASI_U, caps, pairs, c=f1)
+    w = _least_sweep(values, LAW_QUASI_U, _tuple_splits(caps), lambda m, n: pairs, _pmul, f1)
     return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity, c=f1)
 
 
@@ -267,7 +253,8 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
         return rep
     fa = values(avec)
     caps = tuple(window // ai for ai in avec)
-    w = _tuple_sweep(values, LAW_SHIFTED_U, caps, _coprime_tuple_pairs(caps), c=fa, a=avec)
+    splits, pairs = _tuple_splits(caps), _coprime_tuple_pairs(caps)
+    w = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, _pmul, fa, avec)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, **known)
 
 
@@ -316,8 +303,8 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     _require_window(window, f.arity)
     u = f.arity
     pts = list(_points(window, u))
-    vals: dict[Point, Rational] = {pt: f(pt) for pt in pts}
-    if all(v == 0 for v in vals.values()):
+    values = _values(f, window)
+    if all(values(pt) == 0 for pt in pts):
         return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
     primes = nt.primes_up_to(window) if window >= 2 else []
     zero_vec = (0,) * u
@@ -329,14 +316,14 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     # owner[p][e]: the first support point whose p-signature is e
     owner: dict[int, dict[Point, Point]] = {p: {} for p in primes}
     for pt in pts:
-        if vals[pt] != 0:
+        if values(pt) != 0:
             for p in primes:
                 owner[p].setdefault(sigs[p][pt], pt)
     zero_sigs = {p: frozenset(achievable[p] - owner[p].keys()) for p in primes}
 
     # phase 1: every zero must be explained by some candidate zero signature
     for pt in pts:
-        if vals[pt] != 0:
+        if values(pt) != 0:
             continue
         if not any(sigs[p][pt] in zero_sigs[p] for p in primes):
             sharers = [(p, owner[p][sigs[p][pt]]) for p in primes]
@@ -348,16 +335,16 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
                 window,
                 arity=u,
                 witness=Witness(
-                    owner0, pt, vals[pt], vals[owner0] if owner0 else 1, LAW_COVER
+                    owner0, pt, values(pt), values(owner0) if owner0 else 1, LAW_COVER
                 ),
                 reason=f"f{pt} = 0 is not explained by any per-prime zero pattern ({detail})",
             )
 
     exceptions = tuple(p for p in primes if zero_vec in zero_sigs[p])
     ones = (1,) * u
-    constant = Fraction(vals[ones]) if vals[ones] != 0 else Fraction(1)
+    constant = Fraction(values(ones)) if values(ones) != 0 else Fraction(1)
 
-    support = [pt for pt in pts if vals[pt] != 0]
+    support = [pt for pt in pts if values(pt) != 0]
     known: dict[tuple[int, Point], Fraction] = {}
     anchors: list[tuple[int, Point]] = []
     for p in exceptions[1:]:
@@ -370,7 +357,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     equations = []
     for pt in support:
         factors = tuple((p, sigs[p][pt]) for p in primes if sigs[p][pt] != zero_vec)
-        equations.append((pt, Fraction(vals[pt]), factors))
+        equations.append((pt, Fraction(values(pt)), factors))
 
     changed = True
     while changed:
@@ -414,7 +401,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
                 REFUTED,
                 window,
                 arity=u,
-                witness=Witness(None, pt, Fraction(vals[pt]), pred, LAW_RATIO),
+                witness=Witness(None, pt, Fraction(values(pt)), pred, LAW_RATIO),
                 reason=(
                     f"with constant {constant} and {origin}, the product at {pt} "
                     f"is {pred} but f{pt} = {value}"
@@ -442,17 +429,27 @@ class TwoVariableReport:
 
     For f(n, r): evenness in n for every modulus r, multiplicativity in r
     for every n, the resulting two-variable multiplicativity, and the
-    four-step product chain on sampled coprime quadruples.
+    four-step product chain on sampled coprime quadruples. Each check
+    holds exactly when it has no witness.
     """
 
     window: int
-    even_ok: bool
     even_witness: Optional[tuple]
-    mult_in_modulus_ok: bool
     mult_witness: Optional[tuple]
     conclusion: ClassReport
-    chain_ok: bool
     chain_witness: Optional[tuple]
+
+    @property
+    def even_ok(self) -> bool:
+        return self.even_witness is None
+
+    @property
+    def mult_in_modulus_ok(self) -> bool:
+        return self.mult_witness is None
+
+    @property
+    def chain_ok(self) -> bool:
+        return self.chain_witness is None
 
     @property
     def hypotheses_ok(self) -> bool:
@@ -470,30 +467,24 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
         raise ValueError("the two-variable theorem needs an arity-2 function")
     _require_window(window, 2)
 
-    even_ok, even_witness = True, None
-    for r in range(1, window + 1):
-        for n in range(1, window + 1):
-            lhs = f((n, r))
-            rhs = f((math.gcd(n, r), r))
-            if lhs != rhs:
-                even_ok, even_witness = False, (r, n, lhs, rhs)
-                break
-        if not even_ok:
+    even_witness = None
+    for r, n in itertools.product(range(1, window + 1), repeat=2):
+        lhs, rhs = f((n, r)), f((math.gcd(n, r), r))
+        if lhs != rhs:
+            even_witness = (r, n, lhs, rhs)
             break
 
-    mult_ok, mult_witness = True, None
+    mult_witness = None
     for n in range(1, window + 1):
         inner = ArithFn(f"{f.name}@{n}", lambda r, _n=n: f((_n, r)))
-        rep = check_multiplicative(inner, window)
-        if rep.verdict == REFUTED:
-            assert rep.witness is not None
-            mult_ok = False
-            mult_witness = (n, rep.witness.m, rep.witness.n, rep.witness.lhs, rep.witness.rhs)
+        w = check_multiplicative(inner, window).witness
+        if w is not None:
+            mult_witness = (n, w.m, w.n, w.lhs, w.rhs)
             break
 
     conclusion = check_multiplicative_u(f, window)
 
-    chain_ok, chain_witness = True, None
+    chain_witness = None
     b = min(window, 8)  # the chain samples quadruples in [1, 8]^4
     for m, r, n, s in itertools.product(range(1, b + 1), repeat=4):
         if math.gcd(m * r, n * s) != 1:
@@ -505,12 +496,10 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
         v5 = f((m, r)) * f((n, s))
         steps = (v1, v2, v3, v4, v5)
         if any(steps[i] != steps[i + 1] for i in range(4)):
-            chain_ok, chain_witness = False, (m, r, n, s, steps)
+            chain_witness = (m, r, n, s, steps)
             break
 
-    return TwoVariableReport(
-        window, even_ok, even_witness, mult_ok, mult_witness, conclusion, chain_ok, chain_witness
-    )
+    return TwoVariableReport(window, even_witness, mult_witness, conclusion, chain_witness)
 
 
 def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:

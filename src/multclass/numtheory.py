@@ -38,8 +38,12 @@ _table = _EMPTY
 
 
 def _check_int(x: int, what: str, least: int | None = 1) -> None:
-    """Raise ValueError unless x is an int >= least (any int when least is None)."""
-    if not isinstance(x, int) or (least is not None and x < least):
+    """Raise ValueError unless x is an int >= least (any int when least is
+    None); a bool is not taken for an int. The package's one integer
+    check: ArithFn and MultiArithFn inline the same test per call."""
+    # exact ints take one type test; other types pay for the bool test
+    ok = type(x) is int or isinstance(x, int) and not isinstance(x, bool)
+    if not ok or least is not None and x < least:
         kind = {1: "a positive", 0: "a nonnegative", None: "an"}[least]
         raise ValueError(f"{what} must be {kind} integer, got {x!r}")
 
@@ -303,12 +307,6 @@ def is_unitary_divisor(d: int, n: int) -> bool:
     return n % d == 0 and math.gcd(d, n // d) == 1
 
 
-def _check_modulus(r: int) -> None:
-    # inline rather than _check_int: the Ramanujan sums call it per value
-    if not isinstance(r, int) or r < 1:
-        raise ValueError(f"modulus must be a positive integer, got {r!r}")
-
-
 def is_regular_mod(a: int, r: int) -> bool:
     """Whether a*a*x == a (mod r) is solvable for some x.
 
@@ -316,7 +314,7 @@ def is_regular_mod(a: int, r: int) -> bool:
     gcd(a, r) is a unitary divisor of r. The brute-force definition is
     kept to the tests as an independent check.
     """
-    _check_modulus(r)
+    _check_int(r, "modulus")
     _check_int(a, "residue", 0)
     d = math.gcd(a % r, r)
     return math.gcd(d, r // d) == 1
@@ -324,7 +322,7 @@ def is_regular_mod(a: int, r: int) -> bool:
 
 def regular_residues(r: int) -> list[int]:
     """All regular residues in [0, r)."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     return [a for a in range(r) if is_regular_mod(a, r)]
 
 

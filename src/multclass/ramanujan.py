@@ -22,15 +22,14 @@ from typing import Optional
 from . import numtheory as nt
 from .arith import ArithFn, Rational, mobius
 from .multivar import MultiArithFn
-from .numtheory import _check_modulus
+from .numtheory import _check_int
 
 _TWO_PI = 2.0 * math.pi
 
 
 def _gcd_level(r: int, n: int) -> int:
-    _check_modulus(r)
-    if not isinstance(n, int):
-        raise ValueError(f"argument must be an integer, got {n!r}")
+    _check_int(r, "modulus")
+    _check_int(n, "argument", None)
     return math.gcd(abs(n), r)
 
 
@@ -56,20 +55,15 @@ def _coprime_residues(r: int) -> tuple[int, ...]:
 
 def c_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_r(n) over the invertible residues."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     roots = _roots(r)
     return sum(roots[(a * n) % r] for a in _coprime_residues(r))
 
 
-def _check_args(r: int, n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"argument must be a positive integer, got {n!r}")
-    _check_modulus(r)
-
-
 def g(r: int, n: int) -> int:
     """Characteristic function of the unitary divisors of r."""
-    _check_args(r, n)
+    _check_int(n, "argument")
+    _check_int(r, "modulus")
     return 1 if nt.is_unitary_divisor(n, r) else 0
 
 
@@ -80,7 +74,8 @@ def mu_bar(r: int, n: int) -> int:
     -1 at j = 2 and 0 otherwise; for a >= 2 it is -1 at j = 1 and j = a+1,
     +1 at j = a, else 0; for p not dividing r it is plain mu at p^j.
     """
-    _check_args(r, n)
+    _check_int(n, "argument")
+    _check_int(r, "modulus")
     out = 1
     for p, j in nt.factorize(n):
         a = nt.nu(p, r)
@@ -119,7 +114,7 @@ def _regular(r: int) -> tuple[int, ...]:
 
 def c_bar_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_bar_r(n) over the regular residues."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     roots = _roots(r)
     return sum(roots[(a * n) % r] for a in _regular(r))
 
@@ -141,7 +136,7 @@ class EvenFnProfile:
 
 def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
     """Scan f on [1, 2r] for r-periodicity and r-evenness."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     periodic, per_witness = True, None
     for n in range(1, r + 1):
         if f(n) != f(n + r):
@@ -159,7 +154,7 @@ def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
 
 def semimult_params_c(r: int) -> tuple[int, int]:
     """Closed-form shift and value for n -> c_r(n): a = r/radical(r)."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     a = r // nt.radical(r)
     return a, c(r, a)
 
@@ -167,7 +162,7 @@ def semimult_params_c(r: int) -> tuple[int, int]:
 def semimult_params_c_bar(r: int) -> tuple[int, int]:
     """Closed-form shift and value for n -> c_bar_r(n): a is the product
     of the primes appearing in r with exponent exactly 1."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     a = math.prod(p for p, e in nt.factorize(r) if e == 1)
     return a, c_bar(r, a)
 
@@ -175,27 +170,31 @@ def semimult_params_c_bar(r: int) -> tuple[int, int]:
 def mu_bar_indicator(r: int) -> int:
     """The constant in the quasimultiplicativity identity for c_bar_r:
     1 when r = 1 or r is squareful, else 0; equals c_bar_r(1)."""
-    _check_modulus(r)
+    _check_int(r, "modulus")
     return 1 if r == 1 or nt.is_squareful(r) else 0
 
 
 def c_fn(r: int) -> ArithFn:
     """n -> c_r(n) as a one-variable function."""
+    _check_int(r, "modulus")
     return ArithFn(f"c:{r}", lambda n: c(r, n))
 
 
 def c_bar_fn(r: int) -> ArithFn:
     """n -> c_bar_r(n) as a one-variable function."""
+    _check_int(r, "modulus")
     return ArithFn(f"c_bar:{r}", lambda n: c_bar(r, n))
 
 
 def mu_bar_fn(r: int) -> ArithFn:
     """n -> mu_bar_r(n) as a one-variable function."""
+    _check_int(r, "modulus")
     return ArithFn(f"mu_bar:{r}", lambda n: mu_bar(r, n))
 
 
 def g_fn(r: int) -> ArithFn:
     """n -> g_r(n) as a one-variable function."""
+    _check_int(r, "modulus")
     return ArithFn(f"g:{r}", lambda n: g(r, n))
 
 

@@ -39,7 +39,13 @@ from multclass.classes import (
     recheck_witness,
 )
 from multclass.corpus import corpus
-from multclass.multivar import classify_all_u, tensor
+from multclass.multivar import (
+    check_quasimultiplicative_u,
+    check_semimultiplicative_u,
+    classify_all_u,
+    extract_selberg_u,
+    tensor,
+)
 from multclass.ramanujan import c_bar_fn, c_fn, mu_bar_fn
 from multclass.suites import run_suite
 
@@ -244,7 +250,7 @@ def test_shifted_law_on_semimultiplicative():
 def every_split(bound):
     """Every ordered coprime pair (m, n) with m*n <= bound, by (m*n, m): the
     full sweep that the two-split coprime_pairs replaces."""
-    return (pair for prod in range(1, bound + 1) for pair in _splits(prod))
+    return (pair for prod in range(1, bound + 1) for pair in _splits(1, prod))
 
 
 def full_sweep_reports(f, window):
@@ -458,6 +464,26 @@ def test_rearick_takes_the_semimultiplicative_report():
     for field in ({"window": 16}, {"klass": QUASIMULTIPLICATIVE}, {"arity": 2}):
         with pytest.raises(ValueError, match="semimultiplicative report on window 32"):
             check_rearick(phi, 32, replace(semi, **field))
+
+
+@pytest.mark.parametrize("check", [check_rearick, extract_selberg, extract_selberg_u])
+@pytest.mark.parametrize("other", ["window", "class", "arity"])
+def test_a_handed_in_report_must_be_the_semimultiplicative_one(check, other):
+    # f is phi on 1..32 but f(40) = 99: from the window-32 report,
+    # extract_selberg(f, 64) would predict f(40) = 16
+    f1 = perturb(phi, 40, 99)
+    fu = tensor(f1, classical("one"))
+    semi = {f1: check_semimultiplicative(f1, 32), fu: check_semimultiplicative_u(fu, 32)}
+    f, g = (fu, f1) if check is extract_selberg_u else (f1, fu)
+    quasi = check_quasimultiplicative if f is f1 else check_quasimultiplicative_u
+    window, report = {
+        "window": (64, semi[f]),
+        "class": (32, quasi(f, 32)),
+        "arity": (32, semi[g]),
+    }[other]
+    assert report.verdict == CONSISTENT
+    with pytest.raises(ValueError, match="semimultiplicative report on window"):
+        check(f, window, report)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 10, 31])

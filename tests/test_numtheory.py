@@ -150,6 +150,10 @@ def _trial_division(n):
         (nt.is_unitary_divisor, (2.0, 4)),
         (nt.nu, (2.0, 8)),
         (nt.primes_up_to, (10.5,)),
+        (nt.factorize, (True,)),
+        (nt.divisors, (True,)),
+        (nt.euler_phi, (True,)),
+        (nt.regular_residues, (True,)),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )

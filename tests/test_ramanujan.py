@@ -302,3 +302,22 @@ def test_parameters_must_be_positive_integers(entry):
     for bad in (2.0, "3", 0):
         with pytest.raises(ValueError, match="must be a positive integer, got"):
             entry(bad)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: eta(True),
+        lambda: compose(classical("phi"), "dilate_kn", True),
+        lambda: c(True, 3),
+        lambda: c(4, True),
+        lambda: c_fn(0),
+        lambda: c_fn(True),
+    ],
+    ids=["eta(True)", "compose-True", "c(True,3)", "c(4,True)", "c_fn(0)", "c_fn(True)"],
+)
+def test_bool_and_zero_parameters_are_refused_up_front(make):
+    # a bool is no integer argument, and a factory checks its modulus when
+    # it builds the function, not when the function is first called
+    with pytest.raises(ValueError, match=r"must be an? (\w+ )?integer, got (True|0)$"):
+        make()
