@@ -23,9 +23,9 @@ arity: two splits per product (coprime_pairs) or per box point (in
 multivar) decide the law, and only a failure sweeps for the witness, over
 the failing product's splits by m in one variable and over every tuple pair
 in several.
-classify_all derives two rows from the semimultiplicative sweep (see
-there). check_rearick decides its law by Rearick's theorem and sweeps every
-pair only for a refutation's witness.
+classify_all and multivar.classify_all_u derive two rows from the
+semimultiplicative sweep (_derived). check_rearick decides its law by
+Rearick's theorem and sweeps every pair only for a refutation's witness.
 One factor-system type, SelbergFactorization, and one extractor,
 extract_selberg, serve every arity, with int or tuple points alike.
 
@@ -539,11 +539,13 @@ def extract_selberg(
 
 
 def _derived(klass: str, law: str, semi: ClassReport, f: Callable, **known) -> ClassReport:
-    """The report of a law with the instances and values of semi's: semi's
-    verdict, and the law evaluated afresh at the pair of semi's witness."""
+    """The report of a law with the instances and values of semi's, in any
+    arity: semi's verdict, and the law evaluated afresh at semi's witness
+    pair, swapped for tuples (the tuple coprime checkers sweep (n, m))."""
     w = semi.witness
     if w is not None:
-        w = _sweep(f, law, [(w.m, w.n)], c=semi.c)
+        pair = (w.m, w.n) if isinstance(w.n, int) else (w.n, w.m)
+        w = _sweep(f, law, [pair], _point_product(w.n), c=semi.c)
     return _report(klass, semi.window, w, **known)
 
 

@@ -20,11 +20,13 @@ constraints once the per-prime gauge freedom is fixed by anchoring
 F_p(0,...,0) = 1 wherever the support permits.
 
 Every checker reads f through one value table of the window box
-(_values). The multiplicative, quasimultiplicative and semimultiplicative
-checkers run classes._least_sweep: two coprime splits per box point
-(_tuple_splits) decide, and only a refuted law reruns the lexicographic
-sweep of every coprime pair (_coprime_tuple_pairs), which gives the
-lexicographically least witness.
+(_values), and check_selberg_u reads each prime's signatures as one column
+over the box (_signature_column). The multiplicative, quasimultiplicative
+and semimultiplicative checkers run classes._least_sweep: two coprime
+splits per box point (_tuple_splits) decide, and only a refuted law reruns
+the lexicographic sweep of every coprime pair (_coprime_tuple_pairs) for
+the least witness. classify_all_u derives the first two rows from the
+third at the shift (1, ..., 1).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -60,6 +62,7 @@ from .classes import (
     SelbergFactorization,
     Witness,
     _WindowValues,
+    _derived,
     _least_support,
     _least_sweep,
     _pmul,
@@ -151,6 +154,11 @@ def _points(window: int, u: int) -> Iterator[Point]:
     return itertools.product(range(1, window + 1), repeat=u)
 
 
+def _signature_column(p: int, window: int, u: int) -> list[Point]:
+    """_signature(p, pt) at every window box point, in _points order."""
+    return list(itertools.product(_signature(p, range(1, window + 1)), repeat=u))
+
+
 def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
     """Pairs (n, m) with n_i * m_i <= caps[i] and gcd(prod n, prod m) = 1,
     in lexicographic order of (n, m)."""
@@ -235,8 +243,7 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     first = next(support_iter, None)
     if first is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u)
-    avec = first
-    forcing = [first]
+    avec, forcing = first, [first]
     for pt in support_iter:
         new = tuple(math.gcd(a, b) for a, b in zip(avec, pt))
         if new != avec:
@@ -304,29 +311,24 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     u = f.arity
     pts = list(_points(window, u))
     values = _values(f, window)
-    if all(values(pt) == 0 for pt in pts):
+    nonzero = [values(pt) != 0 for pt in pts]
+    if not any(nonzero):
         return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
     primes = nt.primes_up_to(window) if window >= 2 else []
     zero_vec = (0,) * u
+    support = list(itertools.compress(pts, nonzero))
 
-    sigs: dict[int, dict[Point, Point]] = {
-        p: {pt: _signature(p, pt) for pt in pts} for p in primes
-    }
-    achievable: dict[int, set[Point]] = {p: set(sigs[p].values()) for p in primes}
-    # owner[p][e]: the first support point whose p-signature is e
-    owner: dict[int, dict[Point, Point]] = {p: {} for p in primes}
-    for pt in pts:
-        if values(pt) != 0:
-            for p in primes:
-                owner[p].setdefault(sigs[p][pt], pt)
-    zero_sigs = {p: frozenset(achievable[p] - owner[p].keys()) for p in primes}
+    # owner[p][e]: the first support point of p-signature e (dict keeps the last write)
+    cols, owner, zero_sigs = {}, {}, {}
+    for p in primes:
+        column = cols[p] = _signature_column(p, window, u)
+        owner[p] = dict(zip(reversed(list(itertools.compress(column, nonzero))), reversed(support)))
+        zero_sigs[p] = frozenset(set(column) - owner[p].keys())
 
     # phase 1: every zero must be explained by some candidate zero signature
-    for pt in pts:
-        if values(pt) != 0:
-            continue
-        if not any(sigs[p][pt] in zero_sigs[p] for p in primes):
-            sharers = [(p, owner[p][sigs[p][pt]]) for p in primes]
+    for pt, nz, *row in zip(pts, nonzero, *cols.values()):
+        if not nz and not any(s in zero_sigs[p] for p, s in zip(primes, row)):
+            sharers = [(p, owner[p][s]) for p, s in zip(primes, row)]
             _, owner0 = sharers[0] if sharers else (None, None)
             detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
             return ClassReport(
@@ -344,7 +346,6 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     ones = (1,) * u
     constant = Fraction(values(ones)) if values(ones) != 0 else Fraction(1)
 
-    support = [pt for pt in pts if values(pt) != 0]
     known: dict[tuple[int, Point], Fraction] = {}
     anchors: list[tuple[int, Point]] = []
     for p in exceptions[1:]:
@@ -355,8 +356,8 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     defining: dict[tuple[int, Point], Point] = {}
 
     equations = []
-    for pt in support:
-        factors = tuple((p, sigs[p][pt]) for p in primes if sigs[p][pt] != zero_vec)
+    for pt, *row in zip(support, *(itertools.compress(c, nonzero) for c in cols.values())):
+        factors = tuple((p, s) for p, s in zip(primes, row) if s != zero_vec)
         equations.append((pt, Fraction(values(pt)), factors))
 
     changed = True
@@ -411,7 +412,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     tables: dict[int, dict[Point, Fraction]] = {}
     for p in primes:
         col: dict[Point, Fraction] = {}
-        for s in sorted(achievable[p]):
+        for s in sorted(owner[p].keys() | zero_sigs[p]):
             if s in zero_sigs[p]:
                 col[s] = Fraction(0)
             elif s == zero_vec:
@@ -503,14 +504,28 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
 
 
 def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
-    """All four multivariable class checks for one function."""
-    reports = {
-        MULTIPLICATIVE: check_multiplicative_u(f, window),
-        QUASIMULTIPLICATIVE: check_quasimultiplicative_u(f, window),
-        SEMIMULTIPLICATIVE: check_semimultiplicative_u(f, window),
-        SELBERG: check_selberg_u(f, window),
-    }
-    semi = reports[SEMIMULTIPLICATIVE]
+    """All four multivariable class checks for one function.
+
+    At the shift (1, ..., 1) with c = f(1, ..., 1) != 0 (semi's c is set),
+    the quasimultiplicative instances and values are the semimultiplicative
+    ones, as are the multiplicative ones when also c = 1, so those rows take
+    its verdict (classes._derived); any other f refutes them within a few
+    instances."""
+    semi = check_semimultiplicative_u(f, window)
+    derive = semi.a == (1,) * f.arity and semi.c is not None
+    if derive:
+        quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI_U, semi, f, arity=f.arity, c=semi.c)
+    else:
+        quasi = check_quasimultiplicative_u(f, window)
+    if derive and semi.c == 1:
+        mult = _derived(MULTIPLICATIVE, LAW_MULT_U, semi, f, arity=f.arity)
+    else:
+        mult = check_multiplicative_u(f, window)
     if semi.verdict == CONSISTENT:
         semi.factorization = extract_selberg_u(f, window, report=semi)
-    return reports
+    return {
+        MULTIPLICATIVE: mult,
+        QUASIMULTIPLICATIVE: quasi,
+        SEMIMULTIPLICATIVE: semi,
+        SELBERG: check_selberg_u(f, window),
+    }

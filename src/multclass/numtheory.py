@@ -44,8 +44,9 @@ def _check_int(x: int, what: str, least: int | None = 1) -> None:
     # exact ints take one type test; other types pay for the bool test
     ok = type(x) is int or isinstance(x, int) and not isinstance(x, bool)
     if not ok or least is not None and x < least:
-        kind = {1: "a positive", 0: "a nonnegative", None: "an"}[least]
-        raise ValueError(f"{what} must be {kind} integer, got {x!r}")
+        kinds = {1: "a positive integer", 0: "a nonnegative integer", None: "an integer"}
+        kind = kinds.get(least, f"an integer of at least {least}")
+        raise ValueError(f"{what} must be {kind}, got {x!r}")
 
 
 def _sieve(size: int) -> array:
@@ -102,7 +103,10 @@ def sieve_bound() -> int:
     Reading it builds nothing."""
     global _sieve_bound
     if _sieve_bound is None:
-        _sieve_bound = int(os.environ.get(SIEVE_BOUND_ENV, DEFAULT_SIEVE_BOUND))
+        raw = os.environ.get(SIEVE_BOUND_ENV, str(DEFAULT_SIEVE_BOUND))
+        bound = int(raw) if raw.strip().isdecimal() else raw  # other text is refused as text
+        _check_int(bound, f"the sieve bound ({SIEVE_BOUND_ENV})", 4)
+        _sieve_bound = bound
     return _sieve_bound
 
 
@@ -110,8 +114,7 @@ def set_sieve_bound(bound: int) -> None:
     """Set a new bound and drop the table and the caches built under the old
     one; nothing is rebuilt until used. The tests shrink it to reach past it."""
     global _sieve_bound, _table
-    if bound < 4:
-        raise ValueError(f"sieve bound must be at least 4, got {bound}")
+    _check_int(bound, f"the sieve bound ({SIEVE_BOUND_ENV})", 4)
     _sieve_bound = bound
     _table = _EMPTY
     factorize.cache_clear()

@@ -82,14 +82,18 @@ def test_traced_layers_see_the_checkers(tracer):
     undo = tracer.install()
     try:
         with tracer.job("contract"):
-            # classify_all derives phi's multiplicative and quasimultiplicative
-            # rows from its semimultiplicative sweep, so those two checkers
-            # are called on their own
+            # classify_all and classify_all_u derive the multiplicative and
+            # quasimultiplicative rows of phi and of mobius x one from their
+            # semimultiplicative sweeps, so those checkers are called on
+            # their own
             classes.classify_all(classical("euler_phi"), 64)
             classes.check_multiplicative(classical("euler_phi"), 64)
             classes.check_quasimultiplicative(classical("euler_phi"), 64)
             classes.check_rearick(classical("mobius"), 16)
-            multivar.classify_all_u(multivar.tensor(classical("mobius"), classical("one")), 6)
+            mobius_one = multivar.tensor(classical("mobius"), classical("one"))
+            multivar.classify_all_u(mobius_one, 6)
+            multivar.check_multiplicative_u(mobius_one, 6)
+            multivar.check_quasimultiplicative_u(mobius_one, 6)
     finally:
         undo()
     metrics = layer_metrics([tracer.summary()], [])

@@ -190,6 +190,18 @@ def test_sieve_bound_refusal_exits_two(capsys):
         nt.set_sieve_bound(old)
 
 
+@pytest.mark.parametrize("raw, shown", [("0", "0"), ("2", "2"), ("abc", "'abc'")])
+def test_bad_sieve_bound_variable_exits_two(capsys, monkeypatch, raw, shown):
+    monkeypatch.setenv(nt.SIEVE_BOUND_ENV, raw)
+    monkeypatch.setattr(nt, "_sieve_bound", None)
+    capsys.readouterr()
+    assert run(["classify", "--fn", "phi", "--window", "8"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the sieve bound (MULTCLASS_SIEVE_BOUND) must be an integer of at least 4, "
+        f"got {shown}\n"
+    )
+
+
 def test_verify_failure_exits_one(capsys, monkeypatch):
     import multclass.suites as suites
     from multclass.suites import Check, SuiteResult

@@ -2,12 +2,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import multclass
+from multclass import multivar
 from multclass import numtheory as nt
 from multclass.arith import classical, scale
 from multclass.classes import (
@@ -26,11 +28,13 @@ from multclass.classes import (
     ClassReport,
     _pmul,
     _report,
+    _signature,
     _sweep,
 )
 from multclass.multivar import (
     MultiArithFn,
     _coprime_tuple_pairs,
+    _signature_column,
     _tuple_splits,
     check_multiplicative_u,
     check_quasimultiplicative_u,
@@ -337,14 +341,15 @@ VALUES = [0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
 
 
 @st.composite
-def per_prime_products(draw):
+def per_prime_products(draw, largest=(12, 8)):
     """C * prod_p F_p(signature at p) on the multiples of a shift, else 0,
     with random columns for p <= W (zero entries included) and up to two
     exception primes, F_p(0, ..., 0) = 0; then three times in four one
-    window value is changed."""
+    window value is changed. W runs up to largest[arity - 2]."""
     arity = draw(st.integers(2, 3))
-    # arity 3 stops at W = 8, which keeps the oracle's full sweeps short
-    window = draw(st.integers(1, 12 if arity == 2 else 8))
+    # arity 3 stops at W = 8 by default, which keeps the oracle's full
+    # sweeps short
+    window = draw(st.integers(1, largest[arity - 2]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     zero_p = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
     primes = nt.primes_up_to(window)
@@ -395,3 +400,51 @@ def test_tuple_checkers_match_the_lexicographic_sweep(spec):
     assert [report_fields(r) for r in got] == [
         report_fields(r) for r in lexicographic_reports(f, window)
     ]
+
+
+def flat_product(arity, window, C, exceptions=(), changes=None):
+    """A per_prime_products spec with shift (1, ..., 1) and every column 1,
+    except F_p(0, ..., 0) = 0 at the exception primes."""
+    columns = {}
+    for p in nt.primes_up_to(window):
+        top = next(e for e in range(window) if p ** (e + 1) > window)
+        columns[p] = {sig: 1 for sig in product(range(top + 1), repeat=arity)}
+        columns[p][(0,) * arity] = 0 if p in exceptions else 1
+    return arity, window, C, (1,) * arity, columns, changes or {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(per_prime_products(largest=(10, 10)))
+# f(1, 1) = 0 with support gcd (1, 1): refuted by LAW_FORCED_SHIFT, so c is None
+@example(flat_product(2, 6, 1, exceptions=(2,)))
+@example(flat_product(3, 4, 2, exceptions=(3,)))
+# c = 1 and c != 1, consistent and refuted at a pair with m != n
+@example(flat_product(2, 6, 1))
+@example(flat_product(3, 6, Fraction(-3, 2)))
+@example(flat_product(2, 6, 1, changes={(2, 3): 5}))
+@example(flat_product(2, 6, 2, changes={(6, 1): 3}))
+@example(flat_product(3, 5, 1, exceptions=(2, 3), changes={(1, 1, 1): 1}))
+# the zero function
+@example(flat_product(2, 1, 1, changes={(1, 1): 0}))
+def test_classify_all_u_matches_the_three_checkers(spec):
+    f = build_product(*spec)
+    window = spec[1]
+    # the Selberg row is check_selberg_u's own, which can still raise
+    with mock.patch.object(multivar, "check_selberg_u", lambda f, window: None):
+        reports = classify_all_u(f, window)
+    got = [reports[k] for k in (MULTIPLICATIVE, QUASIMULTIPLICATIVE, SEMIMULTIPLICATIVE)]
+    want = (
+        check_multiplicative_u(f, window),
+        check_quasimultiplicative_u(f, window),
+        check_semimultiplicative_u(f, window),
+    )
+    assert [report_fields(r) for r in got] == [report_fields(r) for r in want]
+    assert all(r.arity == spec[0] for r in got)
+
+
+@pytest.mark.parametrize("u", [1, 2, 3])
+def test_signature_columns_match_the_signatures(u):
+    for window in range(1, 13):
+        for p in nt.primes_up_to(window):
+            points = product(range(1, window + 1), repeat=u)
+            assert _signature_column(p, window, u) == [_signature(p, pt) for pt in points]

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -110,6 +111,30 @@ def test_sieve_bound_guard(monkeypatch):
             nt.primes_up_to(101)
     finally:
         nt.set_sieve_bound(old)
+
+
+@pytest.mark.parametrize("bound", [5.5, True, 3, "64"])
+def test_set_sieve_bound_takes_only_integers_of_at_least_four(bound):
+    old = nt.sieve_bound()
+    with pytest.raises(
+        ValueError,
+        match=rf"^the sieve bound \(MULTCLASS_SIEVE_BOUND\) must be an integer of at least 4, "
+        rf"got {re.escape(repr(bound))}$",
+    ):
+        nt.set_sieve_bound(bound)
+    assert nt.sieve_bound() == old
+    assert nt.factorize(12).pairs == ((2, 2), (3, 1))
+
+
+@pytest.mark.parametrize("raw, shown", [("0", "0"), ("2", "2"), ("abc", "'abc'"), ("5.5", "'5.5'")])
+def test_sieve_bound_from_the_environment_is_checked(monkeypatch, raw, shown):
+    monkeypatch.setenv(nt.SIEVE_BOUND_ENV, raw)
+    monkeypatch.setattr(nt, "_sieve_bound", None)
+    for _ in range(2):  # a refused value is not kept
+        with pytest.raises(ValueError, match=rf"\(MULTCLASS_SIEVE_BOUND\) .* got {shown}$"):
+            nt.sieve_bound()
+    monkeypatch.setenv(nt.SIEVE_BOUND_ENV, " 64 ")
+    assert nt.sieve_bound() == 64
 
 
 def test_is_prime_above_the_sieve_bound():
