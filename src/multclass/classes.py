@@ -8,26 +8,19 @@ re-evaluates from scratch.
 
 Every law is defined here, once, in LAWS, keyed by its LAW_* text: it maps
 an instance (m, n, shift) to (lhs, rhs) and says when that pair is a
-violation. The coprime-pair classes share one identity,
-c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
+violation. Points are ints here and tuples in multivar, whose checkers use
+the same table, sweeps and recheck. The coprime-pair classes share one
+identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
 quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
-the shift a. One sweep, _sweep, serves every arity from 1 to 3: points are
-ints here and tuples in multivar, whose checkers call the same sweep, and
-recheck_witness replays witnesses of either kind through the same table.
-
-Sweeps run in a fixed order, so reports are deterministic and the stored
-witness is the least one: by (m*n, m) for one-variable coprime pairs,
-lexicographically for tuple pairs, by (m, n) for the gcd-lcm law. One
-sweep, _least_sweep, finds the least witness of a coprime-pair law in any
-arity: two splits per product (coprime_pairs) or per box point (in
-multivar) decide the law, and only a failure sweeps for the witness, over
-the failing product's splits by m in one variable and over every tuple pair
-in several.
-classify_all and multivar.classify_all_u derive two rows from the
-semimultiplicative sweep (_derived). check_rearick decides its law by
-Rearick's theorem and sweeps every pair only for a refutation's witness.
-One factor-system type, SelbergFactorization, and one extractor,
-extract_selberg, serve every arity, with int or tuple points alike.
+the shift a. One engine, _least_sweep, decides it in every arity from a
+table of f(a N) over two splits per product (coprime_pairs) or per box
+point (multivar._tuple_splits). Only a failure runs _sweep, the plain
+sweep of a law, for the least witness: by (m*n, m) for one-variable pairs,
+lexicographically for tuple pairs. classify_all and multivar.classify_all_u
+derive two rows from the semimultiplicative sweep (_derived). check_rearick
+decides its law by Rearick's theorem and sweeps every pair, by (m, n), only
+for a refutation's witness. One factor-system type, SelbergFactorization,
+and one extractor, extract_selberg, serve every arity.
 
 Checkers only read their input function, hence are safe to run
 concurrently.
@@ -258,7 +251,7 @@ def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
     split m n = N with q | m, m = q m'. Then c^2 F(N) = c F(q) F(m' n) =
     F(q) F(m') F(n) = c F(m) F(n). So the first product with a failing
     split is the first N failing here; _splits then gives the least
-    witness.
+    witness. With c = F(1), each (1, N) holds by itself (_least_sweep).
     """
     for prod in range(1, bound + 1):
         yield 1, prod
@@ -286,12 +279,29 @@ def _least_sweep(
     c: Rational = 1,
     a: Optional[AnyPoint] = None,
 ) -> Optional[Witness]:
-    """The least instance at which the law fails, in any arity: the
-    two-split sweep (coprime_pairs, multivar._tuple_splits) decides, and
-    only when it fails at (m, n) are witness_pairs(m, n), in witness order,
-    swept for the witness."""
-    w = _sweep(f, law, splits, mul, c, a)
-    return None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)
+    """The least instance at which a coprime-pair law fails, in any arity.
+
+    f is a _WindowValues read. With F(N) = f(a N), a the unit when None,
+    the law reads c F(m n) = F(m) F(n), where c = F(unit) but for
+    LAW_MULT(_U) at f(unit) != 1, swept plainly. So in the two-split order
+    (coprime_pairs, multivar._tuple_splits) each (unit, N) only stores F(N),
+    read through f's past function, and the (q, N / q) after it compares
+    c F(N) with F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q)."""
+    splits = iter(splits)
+    unit = next(splits)[0]  # every split order opens with (unit, unit)
+    last = f(unit if a is None else a)
+    if last != c:
+        w = _sweep(f, law, itertools.chain([(unit, unit)], splits), mul, c, a)
+        return None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)
+    # in one variable N runs 1, 2, ..., so F is a list and insert(N, v) appends
+    F = [None, last] if unit == 1 else {unit: last}
+    put, past = F.insert if unit == 1 else F.__setitem__, f.__self__.past
+    for m, n in splits:
+        if m == unit:
+            put(n, last := past(n if a is None else mul(a, n)))
+        elif c * last != F[m] * F[n]:
+            return _sweep(f, law, witness_pairs(m, n), mul, c, a)
+    return None
 
 
 def _require_window(window: int, arity: int = 1) -> None:
@@ -314,21 +324,22 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
-    is evaluated once and kept. An argument past the window, such as a
-    Rearick product, is mostly read once, so it is kept nowhere: an ArithFn
-    evaluates it through the function under its memo, any other f is
-    called.
+    is evaluated once and kept. Values read once are kept nowhere but read
+    through past, for an ArithFn the function under its memo, else f: an
+    argument past the window, such as a Rearick product, and the window
+    values that _least_sweep keeps in its own table or that the support law
+    reads off the multiples of a.
 
-    For tuple points, window is the corner (W, ..., W) of the window box.
-    Tuples compare lexicographically, so every box point is kept; every
-    tuple checker reads only points of the box."""
+    For a function of arity u > 1, points are tuples and the window is the
+    corner (W, ..., W) of the window box. Tuples compare lexicographically,
+    so every box point is kept; every tuple checker reads only box points."""
 
-    def __init__(self, f: Callable, window: AnyPoint):
+    def __init__(self, f: Callable, window: int):
         super().__init__()
-        self.f, self.window = f, window
+        self.f, self.window = f, window if getattr(f, "arity", 1) == 1 else (window,) * f.arity
         self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else f
 
-    def __missing__(self, n: int) -> Rational:
+    def __missing__(self, n: AnyPoint) -> Rational:
         if n > self.window:
             return self.past(n)
         value = self[n] = self.f(n)
@@ -371,7 +382,8 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     a = _least_support(values, range(1, window + 1))
     if a is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    w = _sweep(values, LAW_SUPPORT, ((a, n) for n in range(a + 1, window + 1)), a=a)
+    off = ((a, n) for n in range(a + 1, window + 1) if n % a)  # multiples of a hold
+    w = _sweep(values.__self__.past, LAW_SUPPORT, off, a=a)
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
@@ -503,14 +515,14 @@ def extract_selberg(
     probe_i = a_i p^(e_i - nu_p(a_i)), and F_p(e) = 0 as soon as one e_i
     drops below nu_p(a_i). The report defaults to the one-variable check,
     so a multivariable f needs a report or extract_selberg_u."""
-    arity = getattr(f, "arity", 1)
+    arity, name = getattr(f, "arity", 1), getattr(f, "name", repr(f))
     if report is None and arity != 1:
-        raise ValueError(f"{f.name} has arity {arity}; use extract_selberg_u or pass a report")
+        raise ValueError(f"{name} has arity {arity}; use extract_selberg_u or pass a report")
     rep = report if report is not None else check_semimultiplicative(f, window)
     _require_semi(rep, window, arity)
     if rep.verdict != CONSISTENT:
         raise ValueError(
-            f"{f.name} is not semimultiplicative-consistent on window {window} "
+            f"{name} is not semimultiplicative-consistent on window {window} "
             f"(verdict {rep.verdict})"
         )
     a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
@@ -538,15 +550,20 @@ def extract_selberg(
     return SelbergFactorization(rep.c, a, tables, f)
 
 
-def _derived(klass: str, law: str, semi: ClassReport, f: Callable, **known) -> ClassReport:
-    """The report of a law with the instances and values of semi's, in any
-    arity: semi's verdict, and the law evaluated afresh at semi's witness
-    pair, swapped for tuples (the tuple coprime checkers sweep (n, m))."""
+def _derived(klass: str, law: str, semi: ClassReport, f: Callable, check: Callable) -> ClassReport:
+    """The row of a coprime law from semi, in any arity. At the shift a =
+    unit with c = f(unit) set, and c = 1 too for an unscaled law, the row's
+    instances and values are semi's: it takes semi's verdict, and the law
+    evaluated afresh at semi's witness pair, swapped for tuples (the tuple
+    coprime checkers sweep (n, m)). Any other f gets check(f, window)."""
+    scaled = LAWS[law].scaled
+    if semi.c is None or semi.a != _unit(semi.a) or not scaled and semi.c != 1:
+        return check(f, semi.window)
     w = semi.witness
     if w is not None:
         pair = (w.m, w.n) if isinstance(w.n, int) else (w.n, w.m)
         w = _sweep(f, law, [pair], _point_product(w.n), c=semi.c)
-    return _report(klass, semi.window, w, **known)
+    return _report(klass, semi.window, w, arity=semi.arity, c=semi.c if scaled else None)
 
 
 def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
@@ -561,14 +578,8 @@ def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
     the extracted factor system when consistent.
     """
     semi = check_semimultiplicative(f, window)
-    if semi.a == 1:
-        quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI, semi, f, c=semi.c)
-    else:
-        quasi = check_quasimultiplicative(f, window)
-    if semi.a == 1 and semi.c == 1:
-        mult = _derived(MULTIPLICATIVE, LAW_MULT, semi, f)
-    else:
-        mult = check_multiplicative(f, window)
+    quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI, semi, f, check_quasimultiplicative)
+    mult = _derived(MULTIPLICATIVE, LAW_MULT, semi, f, check_multiplicative)
     selberg = replace(semi, klass=SELBERG)
     if semi.verdict == CONSISTENT:
         selberg.selberg = extract_selberg(f, window, report=semi)

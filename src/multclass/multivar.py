@@ -20,13 +20,13 @@ constraints once the per-prime gauge freedom is fixed by anchoring
 F_p(0,...,0) = 1 wherever the support permits.
 
 Every checker reads f through one value table of the window box
-(_values), and check_selberg_u reads each prime's signatures as one column
-over the box (_signature_column). The multiplicative, quasimultiplicative
-and semimultiplicative checkers run classes._least_sweep: two coprime
-splits per box point (_tuple_splits) decide, and only a refuted law reruns
-the lexicographic sweep of every coprime pair (_coprime_tuple_pairs) for
-the least witness. classify_all_u derives the first two rows from the
-third at the shift (1, ..., 1).
+(classes._WindowValues), check_selberg_u each prime's signatures as one
+column over the box (_signature_column). The coprime-pair checkers run
+classes._least_sweep: from a table of f(a N), two coprime splits per box
+point (_tuple_splits) decide, and only a refuted law reruns the
+lexicographic sweep of every coprime pair (_coprime_tuple_pairs) for the
+least witness. classify_all_u derives the first two rows from the third at
+the shift (1, ..., 1).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -178,7 +178,9 @@ def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
     c F(m.n) = F(m) F(n) with c != 0: a coprime split of N sends all of Q
     to one side, every product it reduces to is smaller, and componentwise
     divisors of N stay in the box. So these two splits fail somewhere
-    exactly when some coprime pair of the box does.
+    exactly when some coprime pair of the box does. (1, N) comes just
+    before (Q, N / Q) and holds by itself when c = F(1), so
+    classes._least_sweep only reads F(N) there.
     """
     ones = (1,) * len(caps)
     box = itertools.product(*(range(1, c + 1) for c in caps))
@@ -194,18 +196,12 @@ def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
             yield qvec, tuple(x // y for x, y in zip(pt, qvec))
 
 
-def _values(f: MultiArithFn, window: int) -> Callable[[Point], Rational]:
-    """f read through one table of the window box; every tuple checker
-    reads only points of that box."""
-    return _WindowValues(f, (window,) * f.arity).__getitem__
-
-
 def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
     _require_window(window, f.arity)
     caps = (window,) * f.arity
     pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    values = _values(f, window)
+    values = _WindowValues(f, window).__getitem__
     w = _least_sweep(values, LAW_MULT_U, _tuple_splits(caps), lambda m, n: pairs, _pmul)
     return _report(MULTIPLICATIVE, window, w, arity=f.arity)
 
@@ -213,7 +209,7 @@ def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
 def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Sweep c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
     _require_window(window, f.arity)
-    values = _values(f, window)
+    values = _WindowValues(f, window).__getitem__
     ones = (1,) * f.arity
     least = _least_support(values, _points(window, f.arity))
     if least is None:
@@ -238,7 +234,7 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """
     _require_window(window, f.arity)
     u = f.arity
-    values = _values(f, window)
+    values = _WindowValues(f, window).__getitem__
     support_iter = (pt for pt in _points(window, u) if values(pt) != 0)
     first = next(support_iter, None)
     if first is None:
@@ -310,7 +306,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     _require_window(window, f.arity)
     u = f.arity
     pts = list(_points(window, u))
-    values = _values(f, window)
+    values = _WindowValues(f, window).__getitem__
     nonzero = [values(pt) != 0 for pt in pts]
     if not any(nonzero):
         return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
@@ -512,15 +508,8 @@ def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
     its verdict (classes._derived); any other f refutes them within a few
     instances."""
     semi = check_semimultiplicative_u(f, window)
-    derive = semi.a == (1,) * f.arity and semi.c is not None
-    if derive:
-        quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI_U, semi, f, arity=f.arity, c=semi.c)
-    else:
-        quasi = check_quasimultiplicative_u(f, window)
-    if derive and semi.c == 1:
-        mult = _derived(MULTIPLICATIVE, LAW_MULT_U, semi, f, arity=f.arity)
-    else:
-        mult = check_multiplicative_u(f, window)
+    quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI_U, semi, f, check_quasimultiplicative_u)
+    mult = _derived(MULTIPLICATIVE, LAW_MULT_U, semi, f, check_multiplicative_u)
     if semi.verdict == CONSISTENT:
         semi.factorization = extract_selberg_u(f, window, report=semi)
     return {

@@ -1,9 +1,10 @@
 import math
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multclass import numtheory as nt
@@ -193,6 +194,12 @@ def test_extract_selberg_requires_consistency():
         extract_selberg(nplus1, 32)
 
 
+def test_extract_selberg_refuses_a_plain_callable_with_value_error():
+    # a plain callable has no name; the message falls back to its repr
+    with pytest.raises(ValueError, match="is not semimultiplicative-consistent on window 10"):
+        extract_selberg(lambda n: n + 1, 10)
+
+
 def test_extract_selberg_names_the_multivariable_extractor():
     with pytest.raises(ValueError, match="extract_selberg_u"):
         extract_selberg(tensor(c_fn(4), phi), 8)
@@ -340,8 +347,20 @@ def build_near_member(window, C, a, columns, tail, changes):
     return ArithFn("near", lambda n: changes[n] if n in changes else member(n))
 
 
+def member_spec(window, changes):
+    """A near_members spec: multiplicative (C = 1, a = 1, every column 2,
+    tail 3) but for the changed values."""
+    columns = {p: [2] for p in (2, 3, 5, 7)}
+    return dict(window=window, C=1, a=1, columns=columns, tail=3, changes=changes)
+
+
 @settings(max_examples=300, deadline=None)
 @given(near_members())
+# f(1) != 1 makes the unit splits (1, N) of LAW_MULT instances of their own:
+# f(1) = 0 fails at (1, k), k the least support point, f(1) = 1/2 at (1, 1)
+@example(member_spec(30, {1: 0}))
+@example(member_spec(30, {1: 0, 2: 0, 3: 0}))
+@example(member_spec(30, {1: Fraction(1, 2)}))
 def test_coprime_checkers_match_the_full_sweep(spec):
     f = build_near_member(**spec)
     got = [report_fields(r) for r in coprime_reports(f, spec["window"])]
@@ -504,6 +523,24 @@ def test_wide_splits_visit_each_product_past_the_bound_once(bound):
 def test_coprime_pairs_yields_two_splits_per_composite_product(window, count):
     several = sum(1 for n in range(1, window + 1) if nt.omega(n) >= 2)
     assert sum(1 for _ in coprime_pairs(window)) == window + several == count
+
+
+def test_classify_all_reads_each_window_value_once():
+    # the semimultiplicative decision reads f once per window point, the
+    # derived rows read nothing, and extract_selberg reads only its probes
+    # p**e, at most once more
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return nt.euler_phi(n)
+
+    reps = classify_all(ArithFn("phi", counted), 512)
+    assert all(rep.verdict == CONSISTENT for rep in reps.values())
+    assert reps[SEMIMULTIPLICATIVE].a == 1
+    assert sorted(calls) == list(range(1, 513))
+    assert all(k == 1 for n, k in calls.items() if nt.omega(n) != 1)
+    assert max(calls.values()) <= 2
 
 
 def raising_past(bound, fn):

@@ -389,6 +389,11 @@ def build_product(arity, window, C, shift, columns, changes):
 
 @settings(max_examples=300, deadline=None)
 @given(per_prime_products())
+# f(1, 1) != 1 makes the unit splits ((1, 1), N) of LAW_MULT_U instances of
+# their own: f(1, 1) = 2 fails at ((1, 1), (1, 1)), f(1, 1) = 0 at the first
+# N with f(N) != 0
+@example((2, 6, 1, (1, 1), {}, {(1, 1): 2}))
+@example((2, 6, 1, (1, 1), {}, {(1, 1): 0}))
 def test_tuple_checkers_match_the_lexicographic_sweep(spec):
     f = build_product(*spec)
     window = spec[1]
