@@ -4,10 +4,11 @@ An ArithFn pairs a total map from positive integers to ints or Fractions
 with a short printable name. Values stay exact end to end: convolutions and
 products are computed over the divisor lattice with integer/Fraction
 arithmetic only. Every function memoizes its evaluation, at most
-MEMO_SIZE values each; the checkers read arguments past their window
-through the function under the memo. The cache only skips recomputation
-and never changes a value, so sharing a function between threads is safe.
-Integer parameters are checked when a function is built.
+MEMO_SIZE values each; the combinators call their inner functions' memos
+(_eval) without the argument check, as the library made every inner
+argument. The cache only skips recomputation and never changes a value, so
+sharing a function between threads is safe. Integer parameters are checked
+when a function is built.
 """
 
 from __future__ import annotations
@@ -62,10 +63,8 @@ class ArithFn:
 
 
 def _mobius_eval(n: int) -> int:
-    fz = nt.factorize(n)
-    if any(e >= 2 for _, e in fz):
-        return 0
-    return -1 if len(fz) % 2 else 1
+    es = [e for _, e in nt._walk(n)]
+    return 0 if any(e >= 2 for e in es) else -1 if len(es) % 2 else 1
 
 
 mobius = ArithFn("mobius", _mobius_eval)
@@ -102,7 +101,7 @@ def dirichlet(f: ArithFn, g: ArithFn) -> ArithFn:
     """Dirichlet convolution: n -> sum of f(d) g(n/d) over divisors d of n."""
 
     def conv(n: int) -> Rational:
-        return sum(f(d) * g(n // d) for d in nt.divisors(n))
+        return sum(f._eval(d) * g._eval(n // d) for d in nt.divisors(n))
 
     return ArithFn(f"dirichlet({f.name},{g.name})", conv)
 
@@ -111,14 +110,14 @@ def unitary(f: ArithFn, g: ArithFn) -> ArithFn:
     """Unitary convolution: the divisor sum restricted to gcd(d, n/d) = 1."""
 
     def conv(n: int) -> Rational:
-        return sum(f(d) * g(n // d) for d in nt.unitary_divisors(n))
+        return sum(f._eval(d) * g._eval(n // d) for d in nt.unitary_divisors(n))
 
     return ArithFn(f"unitary({f.name},{g.name})", conv)
 
 
 def pointwise_product(f: ArithFn, g: ArithFn) -> ArithFn:
     """n -> f(n) * g(n)."""
-    return ArithFn(f"product({f.name},{g.name})", lambda n: f(n) * g(n))
+    return ArithFn(f"product({f.name},{g.name})", lambda n: f._eval(n) * g._eval(n))
 
 
 def scale(f: ArithFn, c: Rational) -> ArithFn:
@@ -127,7 +126,7 @@ def scale(f: ArithFn, c: Rational) -> ArithFn:
     if cf == 0:
         raise ValueError("scale constant must be nonzero")
     cv: Rational = cf.numerator if cf.denominator == 1 else cf
-    return ArithFn(f"scale:{format_rational(cf)}({f.name})", lambda n: cv * f(n))
+    return ArithFn(f"scale:{format_rational(cf)}({f.name})", lambda n: cv * f._eval(n))
 
 
 def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
@@ -139,15 +138,15 @@ def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
     """
     nt._check_int(k, "composition parameter")
     if kind == "dilate_kn":
-        fn = lambda n: f(k * n)
+        fn = lambda n: f._eval(k * n)
     elif kind == "k_over_n":
-        fn = lambda n: f(k // n) if k % n == 0 else 0
+        fn = lambda n: f._eval(k // n) if k % n == 0 else 0
     elif kind == "n_over_k":
-        fn = lambda n: f(n // k) if n % k == 0 else 0
+        fn = lambda n: f._eval(n // k) if n % k == 0 else 0
     elif kind == "gcd_k":
-        fn = lambda n: f(math.gcd(k, n))
+        fn = lambda n: f._eval(math.gcd(k, n))
     elif kind == "lcm_k":
-        fn = lambda n: f(math.lcm(k, n))
+        fn = lambda n: f._eval(math.lcm(k, n))
     else:
         raise ValueError(f"unknown composition kind {kind!r}")
     return ArithFn(f"{_COMPOSE_TOKEN[kind]}:{k}({f.name})", fn)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -214,7 +214,9 @@ class ClassReport:
     forcing lists the support points that forced a multivariable shift.
     selberg (one-variable Selberg row) and factorization (multivariable
     semimultiplicative row) both hold a SelbergFactorization, under two JSON
-    keys; system holds the multivariable Selberg row's SelbergSystem."""
+    keys; system holds the multivariable Selberg row's SelbergSystem.
+    table, f(a N) by N <= W // a as the semimultiplicative decision read
+    it, serves extract_selberg and check_rearick in place of f."""
 
     klass: str
     verdict: str
@@ -228,6 +230,7 @@ class ClassReport:
     forcing: tuple = ()
     system: "Optional[SelbergSystem]" = None
     factorization: "Optional[SelbergFactorization]" = None
+    table: Optional[Union[list, dict]] = field(default=None, repr=False, compare=False)
 
     @property
     def consistent(self) -> bool:
@@ -278,7 +281,7 @@ def _least_sweep(
     mul: Callable = operator.mul,
     c: Rational = 1,
     a: Optional[AnyPoint] = None,
-) -> Optional[Witness]:
+) -> tuple[Optional[Witness], Optional[Union[list, dict]]]:
     """The least instance at which a coprime-pair law fails, in any arity.
 
     f is a _WindowValues read. With F(N) = f(a N), a the unit when None,
@@ -286,13 +289,15 @@ def _least_sweep(
     LAW_MULT(_U) at f(unit) != 1, swept plainly. So in the two-split order
     (coprime_pairs, multivar._tuple_splits) each (unit, N) only stores F(N),
     read through f's past function, and the (q, N / q) after it compares
-    c F(N) with F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q)."""
+    c F(N) with F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q).
+    Returns the witness or None, and F as read (a list in one variable, a
+    dict by tuple N else; None when swept plainly)."""
     splits = iter(splits)
     unit = next(splits)[0]  # every split order opens with (unit, unit)
     last = f(unit if a is None else a)
     if last != c:
         w = _sweep(f, law, itertools.chain([(unit, unit)], splits), mul, c, a)
-        return None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)
+        return (None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)), None
     # in one variable N runs 1, 2, ..., so F is a list and insert(N, v) appends
     F = [None, last] if unit == 1 else {unit: last}
     put, past = F.insert if unit == 1 else F.__setitem__, f.__self__.past
@@ -300,8 +305,8 @@ def _least_sweep(
         if m == unit:
             put(n, last := past(n if a is None else mul(a, n)))
         elif c * last != F[m] * F[n]:
-            return _sweep(f, law, witness_pairs(m, n), mul, c, a)
-    return None
+            return _sweep(f, law, witness_pairs(m, n), mul, c, a), F
+    return None, F
 
 
 def _require_window(window: int, arity: int = 1) -> None:
@@ -350,7 +355,7 @@ def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
     """Sweep f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
     _require_window(window)
     values = _WindowValues(f, window).__getitem__
-    w = _least_sweep(values, LAW_MULT, coprime_pairs(window), _splits)
+    w, _ = _least_sweep(values, LAW_MULT, coprime_pairs(window), _splits)
     return _report(MULTIPLICATIVE, window, w)
 
 
@@ -370,7 +375,7 @@ def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(QUASIMULTIPLICATIVE, window, w)
     f1 = values(1)
-    w = _least_sweep(values, LAW_QUASI, coprime_pairs(window), _splits, c=f1)
+    w, _ = _least_sweep(values, LAW_QUASI, coprime_pairs(window), _splits, c=f1)
     return _report(QUASIMULTIPLICATIVE, window, w, c=f1)
 
 
@@ -387,8 +392,8 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
-    w = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, c=fa, a=a)
-    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a)
+    w, F = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, c=fa, a=a)
+    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a, table=F)
 
 
 def _wide_splits(bound: int, block: int = 1 << 20) -> Iterator[tuple[int, int]]:
@@ -426,8 +431,10 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     c^2 G(m') G(n') and c^2 G((m',n')) G([m',n']) reduce prime by prime to
     G(p^e_m) G(p^e_n), as {min, max} = {e_m, e_n}.
 
-    So a failed decision always has a pair witness, and only then does the
-    sweep of every pair m < n <= W run, in (m, n) order, for the least one.
+    The decision reads f(a u) and f(a v) off semi's table, so it evaluates f
+    only at the products past the window. A failed decision always has a
+    pair witness, and only then does the sweep of every pair m < n <= W
+    run, in (m, n) order, for the least one.
     It evaluates f(lcm), possibly past the window, only when f(gcd) != 0,
     and skips pairs where {gcd, lcm} = {m, n}, which hold trivially.
     """
@@ -437,11 +444,12 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     if semi.verdict == IDENTICALLY_ZERO:
         return _report(REARICK, window, None)
     values = _WindowValues(f, window).__getitem__
-    a = semi.a
-    if semi.consistent and (
-        _sweep(values, LAW_SHIFTED, _wide_splits(window // a), c=semi.c, a=a) is None
-    ):
-        return _report(REARICK, window, None)
+    if semi.consistent:
+        a, c, past = semi.a, semi.c, values.__self__.past
+        # semi's table, or else read afresh for a report made by hand
+        F = semi.table or [None] + [values(a * n) for n in range(1, window // a + 1)]
+        if all(c * past(a * u * v) == F[u] * F[v] for u, v in _wide_splits(window // a)):
+            return _report(REARICK, window, None)
     pairs = (
         (m, n) for m in range(1, window + 1) for n in range(m + 1, window + 1) if n % m
     )
@@ -500,7 +508,7 @@ class SelbergFactorization:
     def reconstruct(self, pt: AnyPoint) -> Fraction:
         """constant * product of F_p(nu_p(pt)) over the relevant primes."""
         coords = _coords(pt)
-        ps = {p for x in coords + _coords(self.a) for p in nt.factorize(x).primes()}
+        ps = {p for x in coords + _coords(self.a) for p, _ in nt.factorize(x)}
         val = Fraction(self.constant)
         for p in sorted(ps):
             val *= self.factor(p, _like(pt, _signature(p, coords)))
@@ -527,24 +535,26 @@ def extract_selberg(
         )
     a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
     coords, one_var, zero, one = _coords(a), isinstance(a, int), Fraction(0), Fraction(1)
+    unit, mul, F = _unit(a), _point_product(a), rep.table
     tables: dict[int, dict[AnyPoint, Fraction]] = {}
     for p in nt.primes_up_to(window):
-        axes = []  # per coordinate, the probe by exponent: None below nu_p(a_i)
+        axes = []  # per coordinate, N_i with probe_i = a_i N_i by exponent: None below nu_p(a_i)
         for ai, na in zip(coords, _signature(p, coords)):
             axes.append([None] * na)
-            while ai <= window:
-                axes[-1].append(ai)
-                ai *= p
+            q = 1
+            while ai * q <= window:
+                axes[-1].append(q)
+                q *= p
         exponents = itertools.product(*(range(len(axis)) for axis in axes))
         col: dict[AnyPoint, Fraction] = {}
         for e, probe in zip(exponents, itertools.product(*axes)):
-            key, pt = (e[0], probe[0]) if one_var else (e, probe)
+            key, N = (e[0], probe[0]) if one_var else (e, probe)
             if None in probe:
                 col[key] = zero
-            elif pt == a:
+            elif N == unit:
                 col[key] = one  # f(a) / c with c = f(a)
-            else:
-                v = f(pt)  # f(pt) / c, normalized once
+            else:  # f(a N) / c, normalized once; F is None in a report made by hand
+                v = F[N] if F is not None else f(mul(a, N))
                 col[key] = Fraction(v.numerator * den, v.denominator * num)
         tables[p] = col
     return SelbergFactorization(rep.c, a, tables, f)

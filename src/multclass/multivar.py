@@ -118,7 +118,7 @@ def tensor(*fns: ArithFn) -> MultiArithFn:
     def ev(pt: Point) -> Rational:
         out: Rational = 1
         for f, x in zip(fns, pt):
-            out = out * f(x)
+            out = out * f._eval(x)
         return out
 
     return MultiArithFn(name, len(fns), ev)
@@ -133,7 +133,7 @@ def dirichlet_u(f: MultiArithFn, g: MultiArithFn) -> MultiArithFn:
         total: Rational = 0
         for dvec in itertools.product(*(nt.divisors(x) for x in pt)):
             qvec = tuple(x // d for x, d in zip(pt, dvec))
-            total += f(dvec) * g(qvec)
+            total += f._eval(dvec) * g._eval(qvec)
         return total
 
     return MultiArithFn(f"dirichlet({f.name},{g.name})", f.arity, ev)
@@ -202,7 +202,7 @@ def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     caps = (window,) * f.arity
     pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
     values = _WindowValues(f, window).__getitem__
-    w = _least_sweep(values, LAW_MULT_U, _tuple_splits(caps), lambda m, n: pairs, _pmul)
+    w, _ = _least_sweep(values, LAW_MULT_U, _tuple_splits(caps), lambda m, n: pairs, _pmul)
     return _report(MULTIPLICATIVE, window, w, arity=f.arity)
 
 
@@ -220,7 +220,7 @@ def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     f1 = values(ones)
     caps = (window,) * f.arity
     pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    w = _least_sweep(values, LAW_QUASI_U, _tuple_splits(caps), lambda m, n: pairs, _pmul, f1)
+    w, _ = _least_sweep(values, LAW_QUASI_U, _tuple_splits(caps), lambda m, n: pairs, _pmul, f1)
     return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity, c=f1)
 
 
@@ -257,8 +257,8 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     fa = values(avec)
     caps = tuple(window // ai for ai in avec)
     splits, pairs = _tuple_splits(caps), _coprime_tuple_pairs(caps)
-    w = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, _pmul, fa, avec)
-    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, **known)
+    w, F = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, _pmul, fa, avec)
+    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, table=F, **known)
 
 
 def extract_selberg_u(f: MultiArithFn, window: int, report: Optional[ClassReport] = None):
@@ -473,7 +473,7 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
 
     mult_witness = None
     for n in range(1, window + 1):
-        inner = ArithFn(f"{f.name}@{n}", lambda r, _n=n: f((_n, r)))
+        inner = ArithFn(f"{f.name}@{n}", lambda r, _n=n: f._eval((_n, r)))
         w = check_multiplicative(inner, window).witness
         if w is not None:
             mult_witness = (n, w.m, w.n, w.lhs, w.rhs)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from operator import eq
+from typing import Iterator
 
 DEFAULT_SIEVE_BOUND = 10**6
 SIEVE_BOUND_ENV = "MULTCLASS_SIEVE_BOUND"
@@ -136,21 +137,16 @@ def primes_up_to(n: int) -> list[int]:
 
 def is_prime(n: int) -> bool:
     """Primality within the certified range (up to the sieve bound squared)."""
-    t = _table[0]
-    if isinstance(n, int) and 1 < n < len(t):
-        return t[n] == n
     _check_int(n, "n", None)
     if n < 2:
         return False
     bound = sieve_bound()
-    if n <= bound:
-        return _spf_upto(n)[n] == n
     if n > bound * bound:
         raise SieveBoundError(
             f"cannot certify primality of {n} with sieve bound {bound}; "
             f"set {SIEVE_BOUND_ENV} to raise it"
         )
-    return factorize(n).pairs == ((n, 1),)
+    return next(_walk(n)) == (n, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,9 +165,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
     def __iter__(self):
         return iter(self.pairs)
 
@@ -179,55 +172,55 @@ class Factorization:
         return len(self.pairs)
 
 
-# The table walk is cheap; the cache serves the repeated reads of divisors,
-# the Ramanujan sums and the window's points. 2**14 entries hold the
-# working set of classify sweeps up to W = 16384 (on the classify-1v
-# benchmark, 2**13 drops the hit ratio from 0.95 to 0.54); a Rearick sweep's
-# products past the window, each factored once, age out of it.
-@lru_cache(maxsize=1 << 14)
-def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by walking the smallest-prime-factor table.
+def _walk(n: int) -> Iterator[tuple[int, int]]:
+    """(p, e) for each prime p of n >= 1, ascending, with its exponent e.
 
-    Past the sieve bound, n is trial-divided by the table's primes until
-    its cofactor is within the bound, and the table takes over. Exact for
-    any n whose unfactored cofactor can be certified prime, i.e. cofactor
-    <= sieve_bound()**2. Anything larger raises SieveBoundError rather than
-    guessing.
-    """
-    _check_int(n, "n")
-    bound = sieve_bound()
-    pairs = []
-    m = n
-    if m > bound:
-        for p in _table_primes(min(bound, math.isqrt(m))):
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                pairs.append((p, e))
-                if m <= bound:
+    The one factorization walk, with no cache. An int within the table
+    passes one type test; anything else goes through _check_int. Past the
+    sieve bound, n is trial-divided by the table's primes until its
+    cofactor is within the bound, and the table takes over: exact while
+    that cofactor is <= sieve_bound()**2, else SieveBoundError, not a guess."""
+    t, m = _table[0], n
+    if not (type(m) is int and 0 < m < len(t)):
+        _check_int(n, "n")
+        bound = sieve_bound()
+        if m > bound:
+            for p in _table_primes(min(bound, math.isqrt(m))):
+                if p * p > m:
                     break
-        else:
-            if m > bound * bound:
-                raise SieveBoundError(
-                    f"cofactor {m} of {n} exceeds the square of the sieve bound "
-                    f"{bound}; set {SIEVE_BOUND_ENV} to raise it"
-                )
-        if m > bound:  # no prime factor below its square root: m is prime
-            pairs.append((m, 1))
-            m = 1
-    t = _spf_upto(m)
+                if m % p == 0:
+                    m //= p
+                    e = 1
+                    while m % p == 0:
+                        m //= p
+                        e += 1
+                    yield p, e
+                    if m <= bound:
+                        break
+            else:
+                if m > bound * bound:
+                    raise SieveBoundError(
+                        f"cofactor {m} of {n} exceeds the square of the sieve bound "
+                        f"{bound}; set {SIEVE_BOUND_ENV} to raise it"
+                    )
+            if m > bound:  # no prime factor below its square root: m is prime
+                yield m, 1
+                return
+        t = _spf_upto(m)
     while m > 1:
         p = t[m]
-        e = 0
-        while m % p == 0:
+        m //= p
+        e = 1
+        while t[m] == p:
             m //= p
             e += 1
-        pairs.append((p, e))
-    return Factorization(tuple(pairs))
+        yield p, e
+
+
+@lru_cache(maxsize=1 << 14)
+def factorize(n: int) -> Factorization:
+    """Factor n >= 1 by walking the smallest-prime-factor table (_walk)."""
+    return Factorization(tuple(_walk(n)))
 
 
 def least_prime_power(n: int) -> int:
@@ -235,13 +228,8 @@ def least_prime_power(n: int) -> int:
     t = _table[0]
     # the sweeps' common case, n already in the table, skips this
     if not (isinstance(n, int) and 1 < n < len(t)):
-        _check_int(n, "n")
-        if n == 1:
-            return 1
-        if n > sieve_bound():
-            p, e = factorize(n).pairs[0]
-            return p**e
-        t = _spf_upto(n)
+        p, e = next(_walk(n), (1, 0))
+        return p**e
     p = t[n]
     q = p
     n //= p
@@ -267,20 +255,20 @@ def nu(p: int, n: int) -> int:
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
     out = 1
-    for p, _ in factorize(n):
+    for p, _ in _walk(n):
         out *= p
     return out
 
 
 def omega(n: int) -> int:
     """Number of distinct prime divisors."""
-    return len(factorize(n))
+    return sum(1 for _ in _walk(n))
 
 
 def euler_phi(n: int) -> int:
     """Count of 1 <= a <= n with gcd(a, n) = 1."""
     out = n
-    for p, _ in factorize(n):
+    for p, _ in _walk(n):
         out -= out // p
     return out
 
@@ -289,7 +277,7 @@ def euler_phi(n: int) -> int:
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     ds = [1]
-    for p, e in factorize(n):
+    for p, e in _walk(n):
         ds = [d * p**k for d in ds for k in range(e + 1)]
     return tuple(sorted(ds))
 
@@ -297,7 +285,7 @@ def divisors(n: int) -> tuple[int, ...]:
 def unitary_divisors(n: int) -> tuple[int, ...]:
     """Divisors d of n with gcd(d, n/d) = 1, ascending; there are 2**omega(n)."""
     ds = [1]
-    for p, e in factorize(n):
+    for p, e in _walk(n):
         q = p**e
         ds += [d * q for d in ds]
     return tuple(sorted(ds))
@@ -331,5 +319,4 @@ def regular_residues(r: int) -> list[int]:
 
 def is_squareful(n: int) -> bool:
     """True when every prime in n has exponent >= 2; vacuously true at n = 1."""
-    _check_int(n, "n")
-    return all(e >= 2 for _, e in factorize(n))
+    return all(e >= 2 for _, e in _walk(n))

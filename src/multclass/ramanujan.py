@@ -35,7 +35,7 @@ def _gcd_level(r: int, n: int) -> int:
 
 @lru_cache(maxsize=1 << 16)
 def _c_at(r: int, level: int) -> int:
-    return sum(d * mobius(r // d) for d in nt.divisors(level))
+    return sum(d * mobius._eval(r // d) for d in nt.divisors(level))
 
 
 def c(r: int, n: int) -> int:
@@ -77,14 +77,12 @@ def mu_bar(r: int, n: int) -> int:
     _check_int(n, "argument")
     _check_int(r, "modulus")
     out = 1
-    for p, j in nt.factorize(n):
-        a = nt.nu(p, r)
-        if a == 1:
-            v = -1 if j == 2 else 0
-        elif a >= 2:
-            v = 1 if j == a else (-1 if j in (1, a + 1) else 0)
-        else:
-            v = -1 if j == 1 else 0
+    for p, j in nt._walk(n):
+        a = 0
+        while r % p == 0:  # p is a prime of n, so nu_p(r) by plain division
+            r //= p
+            a += 1
+        v = 1 if a >= 2 and j == a else -1 if j == a + 1 or (a >= 2 and j == 1) else 0
         if v == 0:
             return 0
         out *= v
@@ -92,8 +90,11 @@ def mu_bar(r: int, n: int) -> int:
 
 
 def mu_bar_oracle(r: int, n: int) -> int:
-    """mu_bar via Moebius inversion of mu_bar_r * 1 = g_r."""
-    return sum(g(r, d) * mobius(n // d) for d in nt.divisors(n))
+    """mu_bar via Moebius inversion of mu_bar_r * 1 = g_r, over the d | n
+    that g_r marks: the unitary divisors of r."""
+    _check_int(r, "modulus")
+    mu = mobius._eval
+    return sum(mu(n // d) for d in nt.divisors(n) if r % d == 0 and math.gcd(d, r // d) == 1)
 
 
 @lru_cache(maxsize=1 << 16)

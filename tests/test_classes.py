@@ -41,6 +41,7 @@ from multclass.classes import (
 )
 from multclass.corpus import corpus
 from multclass.multivar import (
+    MultiArithFn,
     check_quasimultiplicative_u,
     check_semimultiplicative_u,
     classify_all_u,
@@ -479,6 +480,12 @@ def test_rearick_takes_the_semimultiplicative_report():
     for f in corpus():
         semi = check_semimultiplicative(f, 32)
         assert check_rearick(f, 32, semi) == check_rearick(f, 32), f.name
+        # a report made by hand carries no value table; f is read instead
+        by_hand = replace(semi, table=None)
+        assert check_rearick(f, 32, by_hand) == check_rearick(f, 32), f.name
+        if semi.consistent:
+            want = extract_selberg(f, 32, semi).tables
+            assert extract_selberg(f, 32, by_hand).tables == want, f.name
     semi = check_semimultiplicative(phi, 32)
     for field in ({"window": 16}, {"klass": QUASIMULTIPLICATIVE}, {"arity": 2}):
         with pytest.raises(ValueError, match="semimultiplicative report on window 32"):
@@ -527,8 +534,8 @@ def test_coprime_pairs_yields_two_splits_per_composite_product(window, count):
 
 def test_classify_all_reads_each_window_value_once():
     # the semimultiplicative decision reads f once per window point, the
-    # derived rows read nothing, and extract_selberg reads only its probes
-    # p**e, at most once more
+    # derived rows read nothing, and extract_selberg reads its probes p**e
+    # off the decision's table
     calls = Counter()
 
     def counted(n):
@@ -539,8 +546,46 @@ def test_classify_all_reads_each_window_value_once():
     assert all(rep.verdict == CONSISTENT for rep in reps.values())
     assert reps[SEMIMULTIPLICATIVE].a == 1
     assert sorted(calls) == list(range(1, 513))
-    assert all(k == 1 for n, k in calls.items() if nt.omega(n) != 1)
-    assert max(calls.values()) <= 2
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_classify_then_rearick_reads_each_window_value_once(shift):
+    # the CLI's classify path: check_rearick reads f(a u) and f(a v) off the
+    # semimultiplicative report's table and evaluates f only past the
+    # window, at each product once
+    calls = Counter()
+
+    def counted(n):
+        calls[n] += 1
+        return nt.euler_phi(n // shift) if n % shift == 0 else 0
+
+    f = ArithFn(f"phi/{shift}", counted)
+    semi = classify_all(f, 128)[SEMIMULTIPLICATIVE]
+    assert (semi.verdict, semi.a) == (CONSISTENT, shift)
+    assert check_rearick(f, 128, semi).verdict == CONSISTENT
+    assert sorted(n for n in calls if n <= 128) == list(range(1, 129))
+    assert max(calls.values()) == 1
+
+
+def test_inner_functions_are_called_under_their_memos(monkeypatch):
+    # the combinators call their inner functions' memos directly, so only
+    # the outer function's window reads go through the checked call
+    seen = Counter()
+    for cls in (ArithFn, MultiArithFn):
+
+        def counted(self, x, call=cls.__call__):
+            seen[self] += 1
+            return call(self, x)
+
+        monkeypatch.setattr(cls, "__call__", counted)
+    outer = scale(dirichlet(phi, mobius), 2)
+    classify_all(outer, 256)
+    assert set(seen) == {outer}
+    seen.clear()
+    outer = tensor(mobius, phi)
+    classify_all_u(outer, 12)
+    assert set(seen) == {outer}
 
 
 def raising_past(bound, fn):

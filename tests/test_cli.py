@@ -54,8 +54,15 @@ def test_eval_json_golden(capsys):
         ("classify_c4.tsv", ["--fn", "c:4", "--window", "32"]),
         # the only golden with a u-variable factorization table
         ("classify_tensor.json", ["--fn", "tensor(c:4,phi)", "--window", "8", "--json"]),
+        # Rearick and Selberg at the shift a = 7, read off one value table
+        (
+            "classify_shift7.json",
+            ["--fn", "dirichlet(c_bar:7,mu_bar:29)", "--window", "96", "--json"],
+        ),
+        # ... and at the constant c = -3/2
+        ("classify_scaled.json", ["--fn", "scale:3/2(c:5)", "--window", "96", "--json"]),
     ],
-    ids=["c4-json", "c4-tsv", "tensor-json"],
+    ids=["c4-json", "c4-tsv", "tensor-json", "shift7-json", "scaled-json"],
 )
 def test_classify_json_golden(capsys, golden, argv):
     rc, out = run_capture(capsys, ["classify", *argv, "--no-timing"])

@@ -179,6 +179,12 @@ def _trial_division(n):
         (nt.divisors, (True,)),
         (nt.euler_phi, (True,)),
         (nt.regular_residues, (True,)),
+        (nt.radical, (True,)),
+        (nt.radical, (2.0,)),
+        (nt.omega, (True,)),
+        (nt.omega, (2.0,)),
+        (nt.unitary_divisors, (True,)),
+        (nt.unitary_divisors, (2.0,)),
     ],
     ids=lambda x: getattr(x, "__name__", repr(x)),
 )
@@ -205,6 +211,25 @@ def test_factorize_past_a_small_bound():
             assert nt.factorize(n).pairs == _trial_division(n), n
         with pytest.raises(nt.SieveBoundError):
             nt.factorize(2 * 101 * 103)  # cofactor 10403 > 100**2
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_walk_equals_factorize():
+    for n in range(1, 5001):
+        assert tuple(nt._walk(n)) == nt.factorize(n).pairs, n
+
+
+def test_walk_past_a_shrunk_bound():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(64)
+        for n in range(1, 64**2 + 1):
+            assert tuple(nt._walk(n)) == _trial_division(n), n
+        # 2 * 1999: the cofactor 1999 is a prime above the bound
+        assert tuple(nt._walk(2 * 1999)) == ((2, 1), (1999, 1))
+        with pytest.raises(nt.SieveBoundError):
+            list(nt._walk(67 * 71))  # 4757 > 64**2, no prime factor up to 64
     finally:
         nt.set_sieve_bound(old)
 
