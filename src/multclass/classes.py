@@ -12,15 +12,15 @@ violation. Points are ints here and tuples in multivar, whose checkers use
 the same table, sweeps and recheck. The coprime-pair classes share one
 identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
 quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
-the shift a. One engine, _least_sweep, decides it in every arity from a
-table of f(a N) over two splits per product (coprime_pairs) or per box
-point (multivar._tuple_splits). Only a failure runs _sweep, the plain
-sweep of a law, for the least witness: by (m*n, m) for one-variable pairs,
-lexicographically for tuple pairs. classify_all and multivar.classify_all_u
-derive two rows from the semimultiplicative sweep (_derived). check_rearick
-decides its law by Rearick's theorem and sweeps every pair, by (m, n), only
-for a refutation's witness. One factor-system type, SelbergFactorization,
-and one extractor, extract_selberg, serve every arity.
+the shift a. One engine, _least_sweep, decides the shifted law in every
+arity from a table of f(a N) over two splits per product (coprime_pairs)
+or per box point (multivar._tuple_splits); only a failure runs _sweep for
+the least witness: by (m*n, m) for one-variable pairs, lexicographically
+for tuple pairs. _coprime_row reads the other two rows off f(unit) and,
+at a = unit, off that sweep. check_rearick decides its law by Rearick's
+theorem and sweeps every pair, by (m, n), only for a refutation's
+witness. One factor-system type, SelbergFactorization, and one
+extractor, extract_selberg, serve every arity.
 
 Checkers only read their input function, hence are safe to run
 concurrently.
@@ -278,41 +278,41 @@ def _least_sweep(
     law: str,
     splits: Iterable[tuple],
     witness_pairs: Callable[[AnyPoint, AnyPoint], Iterable[tuple]],
-    mul: Callable = operator.mul,
-    c: Rational = 1,
-    a: Optional[AnyPoint] = None,
-) -> tuple[Optional[Witness], Optional[Union[list, dict]]]:
-    """The least instance at which a coprime-pair law fails, in any arity.
+    c: Rational,
+    a: AnyPoint,
+) -> tuple[Optional[Witness], Union[list, dict]]:
+    """The least instance at which the shifted law fails, in any arity.
 
-    f is a _WindowValues read. With F(N) = f(a N), a the unit when None,
-    the law reads c F(m n) = F(m) F(n), where c = F(unit) but for
-    LAW_MULT(_U) at f(unit) != 1, swept plainly. So in the two-split order
-    (coprime_pairs, multivar._tuple_splits) each (unit, N) only stores F(N),
-    read through f's past function, and the (q, N / q) after it compares
-    c F(N) with F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q).
-    Returns the witness or None, and F as read (a list in one variable, a
-    dict by tuple N else; None when swept plainly)."""
+    f is a _WindowValues read and c = f(a) != 0. With F(N) = f(a N) the law
+    reads c F(m n) = F(m) F(n), so in the two-split order (coprime_pairs,
+    multivar._tuple_splits) each (unit, N) only stores F(N), read through
+    f's past function, and the (q, N / q) after it compares c F(N) with
+    F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q). Returns
+    the witness or None, and F as read: a list in one variable, a dict by
+    tuple N else."""
     splits = iter(splits)
     unit = next(splits)[0]  # every split order opens with (unit, unit)
-    last = f(unit if a is None else a)
-    if last != c:
-        w = _sweep(f, law, itertools.chain([(unit, unit)], splits), mul, c, a)
-        return (None if w is None else _sweep(f, law, witness_pairs(w.m, w.n), mul, c, a)), None
     # in one variable N runs 1, 2, ..., so F is a list and insert(N, v) appends
-    F = [None, last] if unit == 1 else {unit: last}
+    F, last, mul = ([None, c] if unit == 1 else {unit: c}), c, _point_product(a)
     put, past = F.insert if unit == 1 else F.__setitem__, f.__self__.past
     for m, n in splits:
         if m == unit:
-            put(n, last := past(n if a is None else mul(a, n)))
+            put(n, last := past(mul(a, n)))
         elif c * last != F[m] * F[n]:
             return _sweep(f, law, witness_pairs(m, n), mul, c, a), F
     return None, F
 
 
-def _require_window(window: int, arity: int = 1) -> None:
+def _require_window(f: Callable, window: int, tuples: bool, other: str) -> None:
+    """Refuse a window that is not a positive integer, and f of the wrong
+    kind for an entry point of tuples (at most 3) or of ints; other names
+    the entry point for f's kind."""
     nt._check_int(window, "window")
-    if arity > 3:
-        raise ValueError(f"windows are capped at arity 3, got {arity}")
+    if hasattr(f, "arity") != tuples:
+        kind = "is a one-variable function" if tuples else f"has arity {f.arity}"
+        raise ValueError(f"{getattr(f, 'name', repr(f))} {kind}; use {other}")
+    if tuples and f.arity > 3:
+        raise ValueError(f"windows are capped at arity 3, got {f.arity}")
 
 
 def _require_semi(rep: ClassReport, window: int, arity: int) -> None:
@@ -335,13 +335,13 @@ class _WindowValues(dict):
     values that _least_sweep keeps in its own table or that the support law
     reads off the multiples of a.
 
-    For a function of arity u > 1, points are tuples and the window is the
-    corner (W, ..., W) of the window box. Tuples compare lexicographically,
-    so every box point is kept; every tuple checker reads only box points."""
+    For a function with an arity, 1 included, points are tuples and the
+    window is the corner (W, ..., W) of the window box. Tuples compare
+    lexicographically: every box point is kept, and tuple checkers read no other."""
 
     def __init__(self, f: Callable, window: int):
         super().__init__()
-        self.f, self.window = f, window if getattr(f, "arity", 1) == 1 else (window,) * f.arity
+        self.f, self.window = f, (window,) * f.arity if hasattr(f, "arity") else window
         self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else f
 
     def __missing__(self, n: AnyPoint) -> Rational:
@@ -351,38 +351,58 @@ class _WindowValues(dict):
         return value
 
 
-def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
-    """Sweep f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
-    _require_window(window)
+def _coprime_row(
+    klass: str, law: str, f: Callable, window: int, semi: Callable[[Callable, int], ClassReport]
+) -> ClassReport:
+    """The multiplicative (law LAW_MULT(_U)) or quasimultiplicative (law
+    LAW_QUASI(_U)) row of f, in any arity, decided by f(unit) first:
+    - f(unit) = 0: with no support in the window, quasi is identically
+      zero and mult vacuously consistent; else both fail at (unit, k), k
+      the least support point (lexicographic for tuples), quasi by
+      LAW_UNIT(_U), as k forces c = f(unit) = 0.
+    - f(unit) not in {0, 1} refutes mult at (unit, unit).
+    - Otherwise the row's instances and values are those of semi(f, window),
+      the semimultiplicative report, at a = unit with c = f(unit): it takes
+      its verdict, and the law evaluated afresh at its witness pair, swapped
+      for tuples (tuple rows read (n, m)). Only this case calls semi."""
+    tuples, scaled = hasattr(f, "arity"), LAWS[law].scaled
+    arity = f.arity if tuples else 1
+    unit, mul = ((1,) * arity, _pmul) if tuples else (1, operator.mul)
     values = _WindowValues(f, window).__getitem__
-    w, _ = _least_sweep(values, LAW_MULT, coprime_pairs(window), _splits)
-    return _report(MULTIPLICATIVE, window, w)
+    c = values(unit)
+    if c == 0:
+        axis = range(1, window + 1)
+        k = _least_support(values, itertools.product(axis, repeat=arity) if tuples else axis)
+        if k is None:
+            verdict = IDENTICALLY_ZERO if scaled else CONSISTENT
+            return ClassReport(klass, verdict, window, arity=arity)
+        law = (LAW_UNIT_U if tuples else LAW_UNIT) if scaled else law
+        pairs = [(k, unit) if tuples else (unit, k)]
+    elif c != 1 and not scaled:
+        pairs = [(unit, unit)]
+    else:
+        w = semi(f, window).witness
+        pairs = [] if w is None else [(w.n, w.m) if tuples else (w.m, w.n)]
+    w = _sweep(values, law, pairs, mul, c)
+    return _report(klass, window, w, arity=arity, c=c if scaled and c != 0 else None)
+
+
+def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
+    """Decide f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
+    _require_window(f, window, False, "check_multiplicative_u")
+    return _coprime_row(MULTIPLICATIVE, LAW_MULT, f, window, check_semimultiplicative)
 
 
 def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
-    """Sweep c f(mn) = f(m) f(n) over coprime pairs; c is forced to f(1).
-
-    A function with any nonzero value but f(1) = 0 is refuted outright:
-    the pair (k, 1) with f(k) != 0 forces c = f(1) = 0, which the class
-    forbids.
-    """
-    _require_window(window)
-    values = _WindowValues(f, window).__getitem__
-    k = _least_support(values, range(1, window + 1))
-    if k is None:
-        return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    w = _sweep(values, LAW_UNIT, [(1, k)])
-    if w is not None:
-        return _report(QUASIMULTIPLICATIVE, window, w)
-    f1 = values(1)
-    w, _ = _least_sweep(values, LAW_QUASI, coprime_pairs(window), _splits, c=f1)
-    return _report(QUASIMULTIPLICATIVE, window, w, c=f1)
+    """Decide c f(mn) = f(m) f(n) over coprime pairs, c forced to f(1)."""
+    _require_window(f, window, False, "check_quasimultiplicative_u")
+    return _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI, f, window, check_semimultiplicative)
 
 
 def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     """Locate the least support point a, require the support to lie in a's
     multiples, then sweep f(a) f(amn) = f(am) f(an) over coprime m, n."""
-    _require_window(window)
+    _require_window(f, window, False, "check_semimultiplicative_u")
     values = _WindowValues(f, window).__getitem__
     a = _least_support(values, range(1, window + 1))
     if a is None:
@@ -392,7 +412,7 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
-    w, F = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, c=fa, a=a)
+    w, F = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, fa, a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a, table=F)
 
 
@@ -438,7 +458,7 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     It evaluates f(lcm), possibly past the window, only when f(gcd) != 0,
     and skips pairs where {gcd, lcm} = {m, n}, which hold trivially.
     """
-    _require_window(window)
+    _require_window(f, window, False, "a one-variable function")
     semi = semi or check_semimultiplicative(f, window)
     _require_semi(semi, window, 1)
     if semi.verdict == IDENTICALLY_ZERO:
@@ -524,7 +544,7 @@ def extract_selberg(
     drops below nu_p(a_i). The report defaults to the one-variable check,
     so a multivariable f needs a report or extract_selberg_u."""
     arity, name = getattr(f, "arity", 1), getattr(f, "name", repr(f))
-    if report is None and arity != 1:
+    if report is None and hasattr(f, "arity"):
         raise ValueError(f"{name} has arity {arity}; use extract_selberg_u or pass a report")
     rep = report if report is not None else check_semimultiplicative(f, window)
     _require_semi(rep, window, arity)
@@ -560,36 +580,20 @@ def extract_selberg(
     return SelbergFactorization(rep.c, a, tables, f)
 
 
-def _derived(klass: str, law: str, semi: ClassReport, f: Callable, check: Callable) -> ClassReport:
-    """The row of a coprime law from semi, in any arity. At the shift a =
-    unit with c = f(unit) set, and c = 1 too for an unscaled law, the row's
-    instances and values are semi's: it takes semi's verdict, and the law
-    evaluated afresh at semi's witness pair, swapped for tuples (the tuple
-    coprime checkers sweep (n, m)). Any other f gets check(f, window)."""
-    scaled = LAWS[law].scaled
-    if semi.c is None or semi.a != _unit(semi.a) or not scaled and semi.c != 1:
-        return check(f, semi.window)
-    w = semi.witness
-    if w is not None:
-        pair = (w.m, w.n) if isinstance(w.n, int) else (w.n, w.m)
-        w = _sweep(f, law, [pair], _point_product(w.n), c=semi.c)
-    return _report(klass, semi.window, w, arity=semi.arity, c=semi.c if scaled else None)
-
-
 def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
     """All four class checks for one function.
 
-    At the shift a = 1 the quasimultiplicative instances and values are the
-    semimultiplicative ones, as are the multiplicative ones when also
-    f(1) = 1, so those rows take its verdict; any other f refutes them fast.
+    The multiplicative and quasimultiplicative rows are read off f(1) and,
+    at the shift a = 1, off the semimultiplicative report (_coprime_row).
 
     In one variable the Selberg class coincides with the semimultiplicative
     class, so the selberg report carries the semimultiplicative verdict plus
     the extracted factor system when consistent.
     """
+    _require_window(f, window, False, "classify_all_u")
     semi = check_semimultiplicative(f, window)
-    quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI, semi, f, check_quasimultiplicative)
-    mult = _derived(MULTIPLICATIVE, LAW_MULT, semi, f, check_multiplicative)
+    quasi = _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI, f, window, lambda f, w: semi)
+    mult = _coprime_row(MULTIPLICATIVE, LAW_MULT, f, window, lambda f, w: semi)
     selberg = replace(semi, klass=SELBERG)
     if semi.verdict == CONSISTENT:
         selberg.selberg = extract_selberg(f, window, report=semi)

@@ -21,12 +21,12 @@ F_p(0,...,0) = 1 wherever the support permits.
 
 Every checker reads f through one value table of the window box
 (classes._WindowValues), check_selberg_u each prime's signatures as one
-column over the box (_signature_column). The coprime-pair checkers run
+column over the box (_signature_column). check_semimultiplicative_u runs
 classes._least_sweep: from a table of f(a N), two coprime splits per box
 point (_tuple_splits) decide, and only a refuted law reruns the
 lexicographic sweep of every coprime pair (_coprime_tuple_pairs) for the
-least witness. classify_all_u derives the first two rows from the third at
-the shift (1, ..., 1).
+least witness. The multiplicative and quasimultiplicative rows are read
+off f(1, ..., 1) and that sweep (classes._coprime_row).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -52,7 +52,6 @@ from .classes import (
     LAW_QUASI_U,
     LAW_RATIO,
     LAW_SHIFTED_U,
-    LAW_UNIT_U,
     MULTIPLICATIVE,
     QUASIMULTIPLICATIVE,
     REFUTED,
@@ -62,8 +61,7 @@ from .classes import (
     SelbergFactorization,
     Witness,
     _WindowValues,
-    _derived,
-    _least_support,
+    _coprime_row,
     _least_sweep,
     _pmul,
     _report,
@@ -197,31 +195,15 @@ def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
 
 
 def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
-    """Sweep f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
-    _require_window(window, f.arity)
-    caps = (window,) * f.arity
-    pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    values = _WindowValues(f, window).__getitem__
-    w, _ = _least_sweep(values, LAW_MULT_U, _tuple_splits(caps), lambda m, n: pairs, _pmul)
-    return _report(MULTIPLICATIVE, window, w, arity=f.arity)
+    """Decide f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
+    _require_window(f, window, True, "check_multiplicative")
+    return _coprime_row(MULTIPLICATIVE, LAW_MULT_U, f, window, check_semimultiplicative_u)
 
 
 def check_quasimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
-    """Sweep c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
-    _require_window(window, f.arity)
-    values = _WindowValues(f, window).__getitem__
-    ones = (1,) * f.arity
-    least = _least_support(values, _points(window, f.arity))
-    if least is None:
-        return ClassReport(QUASIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=f.arity)
-    w = _sweep(values, LAW_UNIT_U, [(least, ones)], _pmul)
-    if w is not None:
-        return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity)
-    f1 = values(ones)
-    caps = (window,) * f.arity
-    pairs = ((m, n) for n, m in _coprime_tuple_pairs(caps))
-    w, _ = _least_sweep(values, LAW_QUASI_U, _tuple_splits(caps), lambda m, n: pairs, _pmul, f1)
-    return _report(QUASIMULTIPLICATIVE, window, w, arity=f.arity, c=f1)
+    """Decide c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
+    _require_window(f, window, True, "check_quasimultiplicative")
+    return _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI_U, f, window, check_semimultiplicative_u)
 
 
 def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
@@ -232,7 +214,7 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     therefore the only candidate. The forcing points recorded in the report
     are the support points at which the running gcd drops.
     """
-    _require_window(window, f.arity)
+    _require_window(f, window, True, "check_semimultiplicative")
     u = f.arity
     values = _WindowValues(f, window).__getitem__
     support_iter = (pt for pt in _points(window, u) if values(pt) != 0)
@@ -257,12 +239,13 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     fa = values(avec)
     caps = tuple(window // ai for ai in avec)
     splits, pairs = _tuple_splits(caps), _coprime_tuple_pairs(caps)
-    w, F = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, _pmul, fa, avec)
+    w, F = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, fa, avec)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, table=F, **known)
 
 
 def extract_selberg_u(f: MultiArithFn, window: int, report: Optional[ClassReport] = None):
     """classes.extract_selberg, with the multivariable check as the default report."""
+    _require_window(f, window, True, "extract_selberg")
     return extract_selberg(f, window, report or check_semimultiplicative_u(f, window))
 
 
@@ -303,7 +286,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     verify every support equation. The first failing point, together with
     the equations that pinned its factors, forms the inconsistent set.
     """
-    _require_window(window, f.arity)
+    _require_window(f, window, True, "classify_all")
     u = f.arity
     pts = list(_points(window, u))
     values = _WindowValues(f, window).__getitem__
@@ -460,9 +443,9 @@ class TwoVariableReport:
 def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableReport:
     """Check the even-times-multiplicative route to two-variable
     multiplicativity for f(n, r), the modulus in the second slot."""
+    _require_window(f, window, True, "an arity-2 function")
     if f.arity != 2:
         raise ValueError("the two-variable theorem needs an arity-2 function")
-    _require_window(window, 2)
 
     even_witness = None
     for r, n in itertools.product(range(1, window + 1), repeat=2):
@@ -502,14 +485,13 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
 def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
     """All four multivariable class checks for one function.
 
-    At the shift (1, ..., 1) with c = f(1, ..., 1) != 0 (semi's c is set),
-    the quasimultiplicative instances and values are the semimultiplicative
-    ones, as are the multiplicative ones when also c = 1, so those rows take
-    its verdict (classes._derived); any other f refutes them within a few
-    instances."""
+    The multiplicative and quasimultiplicative rows are read off
+    f(1, ..., 1) and, at the shift (1, ..., 1), off the semimultiplicative
+    report (classes._coprime_row)."""
+    _require_window(f, window, True, "classify_all")
     semi = check_semimultiplicative_u(f, window)
-    quasi = _derived(QUASIMULTIPLICATIVE, LAW_QUASI_U, semi, f, check_quasimultiplicative_u)
-    mult = _derived(MULTIPLICATIVE, LAW_MULT_U, semi, f, check_multiplicative_u)
+    quasi = _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI_U, f, window, lambda f, w: semi)
+    mult = _coprime_row(MULTIPLICATIVE, LAW_MULT_U, f, window, lambda f, w: semi)
     if semi.verdict == CONSISTENT:
         semi.factorization = extract_selberg_u(f, window, report=semi)
     return {

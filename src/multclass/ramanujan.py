@@ -178,13 +178,13 @@ def mu_bar_indicator(r: int) -> int:
 def c_fn(r: int) -> ArithFn:
     """n -> c_r(n) as a one-variable function."""
     _check_int(r, "modulus")
-    return ArithFn(f"c:{r}", lambda n: c(r, n))
+    return ArithFn(f"c:{r}", lambda n: _c_at(r, math.gcd(n, r)))
 
 
 def c_bar_fn(r: int) -> ArithFn:
     """n -> c_bar_r(n) as a one-variable function."""
     _check_int(r, "modulus")
-    return ArithFn(f"c_bar:{r}", lambda n: c_bar(r, n))
+    return ArithFn(f"c_bar:{r}", lambda n: _c_bar_at(r, math.gcd(n, r)))
 
 
 def mu_bar_fn(r: int) -> ArithFn:

@@ -34,7 +34,6 @@ from .classes import (
     IDENTICALLY_ZERO,
     LAW_QUASI,
     _WindowValues,
-    _require_window,
     _sweep,
     check_multiplicative,
     check_quasimultiplicative,
@@ -293,7 +292,7 @@ SUITES: dict[str, Callable[[int], SuiteResult]] = {
 def run_suite(name: str, window: int) -> SuiteResult:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    _require_window(window)
+    nt._check_int(window, "window")
     if window < 2:
         raise ValueError(f"window must be at least 2, got {window}")
     return SUITES[name](window)

@@ -13,11 +13,13 @@ from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
     LAW_MULT,
+    LAW_MULT_U,
     LAW_QUASI,
     LAW_REARICK,
     LAW_SHIFTED,
     LAW_SUPPORT,
     LAW_UNIT,
+    LAW_UNIT_U,
     MULTIPLICATIVE,
     QUASIMULTIPLICATIVE,
     REARICK,
@@ -42,8 +44,11 @@ from multclass.classes import (
 from multclass.corpus import corpus
 from multclass.multivar import (
     MultiArithFn,
+    check_multiplicative_u,
     check_quasimultiplicative_u,
+    check_selberg_u,
     check_semimultiplicative_u,
+    check_two_variable_theorem,
     classify_all_u,
     extract_selberg_u,
     tensor,
@@ -589,19 +594,42 @@ def test_inner_functions_are_called_under_their_memos(monkeypatch):
 
 
 def raising_past(bound, fn):
+    """fn, raising at any point past bound: a tuple bound makes a function
+    of tuples, and tuples compare lexicographically."""
+
     def guarded(n):
         if n > bound:
             raise ValueError(f"evaluated at {n}")
         return fn(n)
 
-    return ArithFn(f"guarded:{bound}", guarded)
+    if isinstance(bound, int):
+        return ArithFn(f"guarded:{bound}", guarded)
+    return MultiArithFn(f"guarded:{bound}", len(bound), guarded)
 
 
-def test_multiplicative_evaluates_only_up_to_the_first_failure():
-    f = raising_past(10, lambda n: 2 if n == 1 else n)
-    rep = check_multiplicative(f, 1000)
+@pytest.mark.parametrize(
+    "check, bound, fn, law, m, n",
+    [
+        # f(unit) = 2: the multiplicative law fails at (unit, unit), while the
+        # shifted sweep of 2*mu would cover the whole window
+        (check_multiplicative, 1, lambda n: 2 * mobius(n), LAW_MULT, 1, 1),
+        (check_multiplicative_u, (1, 1), lambda pt: 2 * mobius(pt[0]) * mobius(pt[1]),
+         LAW_MULT_U, (1, 1), (1, 1)),
+        # f(unit) = 0 with least support point 3 or (2, 1): both rows fail at
+        # (unit, k) without reading past k
+        (check_multiplicative, 3, lambda n: n // 3, LAW_MULT, 1, 3),
+        (check_quasimultiplicative, 3, lambda n: n // 3, LAW_UNIT, 1, 3),
+        (check_multiplicative_u, (2, 1), lambda pt: 1 - pt[0] % 2, LAW_MULT_U, (2, 1), (1, 1)),
+        (check_quasimultiplicative_u, (2, 1), lambda pt: 1 - pt[0] % 2, LAW_UNIT_U, (2, 1), (1, 1)),
+    ],
+    ids=["mult-2mu", "mult_u-2mu", "mult-k3", "quasi-k3", "mult_u-k21", "quasi_u-k21"],
+)
+def test_multiplicative_evaluates_only_up_to_the_first_failure(check, bound, fn, law, m, n):
+    f = raising_past(bound, fn)
+    rep = check(f, 1000 if isinstance(bound, int) else 6)
     assert rep.verdict == REFUTED
-    assert (rep.witness.m, rep.witness.n) == (1, 1)
+    assert (rep.witness.law, rep.witness.m, rep.witness.n) == (law, m, n)
+    assert recheck_witness(f, rep.witness)
 
 
 def test_rearick_evaluates_only_up_to_the_first_failure():
@@ -634,3 +662,46 @@ def test_rearick_evaluates_only_up_to_the_first_failure():
 def test_windows_must_be_positive_integers(check, window):
     with pytest.raises(ValueError, match="window must be a positive integer"):
         check(window)
+
+
+@pytest.mark.parametrize("f", [mobius, c_fn(4), scale(phi, 2)], ids=lambda f: f.name)
+@pytest.mark.parametrize("window", [6, 32])
+def test_arity_one_tuple_functions_classify_as_their_factor(f, window):
+    # tensor(f) is f on 1-tuples: same verdicts, constants and witness
+    # sides, with points and the shift as 1-tuples and tuple pairs as (n, m)
+    ints, tuples = classify_all(f, window), classify_all_u(tensor(f), window)
+    for klass in (MULTIPLICATIVE, QUASIMULTIPLICATIVE, SEMIMULTIPLICATIVE):
+        got, want = tuples[klass], ints[klass]
+        assert (got.verdict, got.c) == (want.verdict, want.c), klass
+        assert got.a == (None if want.a is None else (want.a,)), klass
+        if want.witness is not None:
+            w, v = got.witness, want.witness
+            assert (w.n, w.m, w.lhs, w.rhs) == ((v.m,), (v.n,), v.lhs, v.rhs), klass
+    assert tuples[SELBERG].verdict == ints[SELBERG].verdict == CONSISTENT
+
+
+pair_fn = tensor(mobius, mobius)
+
+
+@pytest.mark.parametrize(
+    "check, f, use",
+    [
+        (classify_all, pair_fn, "classify_all_u"),
+        (check_multiplicative, pair_fn, "check_multiplicative_u"),
+        (check_quasimultiplicative, pair_fn, "check_quasimultiplicative_u"),
+        (check_semimultiplicative, pair_fn, "check_semimultiplicative_u"),
+        (check_rearick, pair_fn, "a one-variable function"),
+        (extract_selberg, pair_fn, "extract_selberg_u"),
+        (classify_all_u, mobius, "classify_all"),
+        (check_multiplicative_u, mobius, "check_multiplicative"),
+        (check_quasimultiplicative_u, mobius, "check_quasimultiplicative"),
+        (check_semimultiplicative_u, mobius, "check_semimultiplicative"),
+        (check_selberg_u, mobius, "classify_all"),
+        (extract_selberg_u, mobius, "extract_selberg"),
+        (check_two_variable_theorem, mobius, "an arity-2 function"),
+    ],
+    ids=lambda x: getattr(x, "__name__", None),
+)
+def test_a_function_of_the_wrong_kind_is_refused(check, f, use):
+    with pytest.raises(ValueError, match=f"; use {use}"):
+        check(f, 6)

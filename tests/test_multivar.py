@@ -166,6 +166,7 @@ def test_sum2_window_two_underdetermined():
 
 
 def test_zero_function_multivar_verdicts():
+    assert check_multiplicative_u(zero2, 6).verdict == CONSISTENT
     assert check_quasimultiplicative_u(zero2, 6).verdict == IDENTICALLY_ZERO
     assert check_semimultiplicative_u(zero2, 6).verdict == IDENTICALLY_ZERO
     assert check_selberg_u(zero2, 6).verdict == IDENTICALLY_ZERO
