@@ -315,11 +315,16 @@ def _require_window(f: Callable, window: int, tuples: bool, other: str) -> None:
         raise ValueError(f"windows are capped at arity 3, got {f.arity}")
 
 
-def _require_semi(rep: ClassReport, window: int, arity: int) -> None:
+def _require_semi(rep: ClassReport, window: int, f: Callable) -> None:
     """Refuse a handed-in report that is not f's semimultiplicative report
-    on this window and arity."""
-    if (rep.klass, rep.window, rep.arity) != (SEMIMULTIPLICATIVE, window, arity):
-        what = "a one-variable" if arity == 1 else f"an arity-{arity}"
+    on this window and arity, or whose shift is not of f's kind: a tuple for
+    a function with an arity, 1 included, else an int."""
+    tuples = hasattr(f, "arity")
+    arity = f.arity if tuples else 1
+    if (rep.klass, rep.window, rep.arity) != (SEMIMULTIPLICATIVE, window, arity) or (
+        rep.a is not None and isinstance(rep.a, tuple) != tuples
+    ):
+        what = f"an arity-{arity}" if tuples else "a one-variable"
         raise ValueError(f"need {what} semimultiplicative report on window {window}")
 
 
@@ -407,8 +412,9 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     a = _least_support(values, range(1, window + 1))
     if a is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    off = ((a, n) for n in range(a + 1, window + 1) if n % a)  # multiples of a hold
-    w = _sweep(values.__self__.past, LAW_SUPPORT, off, a=a)
+    # multiples of a hold, and at a = 1 every n is one
+    off = ((a, n) for n in range(a + 1, window + 1) if n % a)
+    w = _sweep(values.__self__.past, LAW_SUPPORT, off, a=a) if a > 1 else None
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
@@ -460,7 +466,7 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     """
     _require_window(f, window, False, "a one-variable function")
     semi = semi or check_semimultiplicative(f, window)
-    _require_semi(semi, window, 1)
+    _require_semi(semi, window, f)
     if semi.verdict == IDENTICALLY_ZERO:
         return _report(REARICK, window, None)
     values = _WindowValues(f, window).__getitem__
@@ -547,7 +553,7 @@ def extract_selberg(
     if report is None and hasattr(f, "arity"):
         raise ValueError(f"{name} has arity {arity}; use extract_selberg_u or pass a report")
     rep = report if report is not None else check_semimultiplicative(f, window)
-    _require_semi(rep, window, arity)
+    _require_semi(rep, window, f)
     if rep.verdict != CONSISTENT:
         raise ValueError(
             f"{name} is not semimultiplicative-consistent on window {window} "

@@ -12,6 +12,8 @@ Function specs form a tiny expression language over the built-ins, e.g.
 Output is TSV by default, a JSON report with --json. Reports are
 byte-identical for identical inputs when --no-timing is passed.
 Exit codes: 0 pass, 1 failed expectation or failed suite, 2 usage error.
+
+The suites, and the corpus they sweep, load only when verify runs.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from .multivar import (
     selberg_not_semimultiplicative,
     tensor,
 )
-from .suites import run_suite
 
 SCHEMA_VERSION = "1"
 
@@ -348,6 +349,8 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
+    from .suites import run_suite  # the suites and their corpus load for verify only
+
     result = run_suite(args.suite, args.window)
     rows = [{"name": c.name, "ok": c.ok, "detail": c.detail} for c in result.checks]
     lines = ["check\tok\tdetail"]

@@ -9,19 +9,20 @@ never past the sieve bound, and each growth is published whole: the table
 and its prime list are rebound together as one value. A concurrent caller
 therefore only ever reads a table with its own prime list, so concurrent
 callers are safe; results never depend on call order.
-"""
 
-from __future__ import annotations
+The module loads no other multclass module and, beyond `array`, only
+standard-library modules the interpreter loads at start-up (no dataclasses,
+no fractions), so it is cheap to load on its own.
+"""
 
 import bisect
 import math
 import os
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import lru_cache
 from itertools import compress, islice
 from operator import eq
-from typing import Iterator
 
 DEFAULT_SIEVE_BOUND = 10**6
 SIEVE_BOUND_ENV = "MULTCLASS_SIEVE_BOUND"
@@ -149,15 +150,31 @@ def is_prime(n: int) -> bool:
     return next(_walk(n)) == (n, 1)
 
 
-@dataclass(frozen=True, slots=True)
 class Factorization:
     """Canonical factorization: ((p1, e1), (p2, e2), ...) with p1 < p2 < ...
 
     Exponents are >= 1; the empty tuple represents 1. `value()` recovers the
-    factored integer exactly.
+    factored integer exactly. Immutable; equal and hashed by its pairs.
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
+
+    def _frozen(self, name, *value):
+        raise AttributeError(f"Factorization is immutable; cannot change {name!r}")
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other):
+        return self.pairs == other.pairs if type(other) is Factorization else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"Factorization(pairs={self.pairs!r})"
 
     def value(self) -> int:
         out = 1

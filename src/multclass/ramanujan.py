@@ -9,6 +9,9 @@ sums c_oracle and c_bar_oracle are floating point on purpose: they are
 independent cross-checks for the tests and are never used by the library
 itself. Angles are reduced exactly ((a*n) mod r before dividing by r) so
 the rounding error stays near machine epsilon times the residue count.
+
+The two-variable forms c_two_var and c_bar_two_var load multivar when
+called; the one-variable sums never load it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from typing import Optional
 
 from . import numtheory as nt
 from .arith import ArithFn, Rational, mobius
-from .multivar import MultiArithFn
 from .numtheory import _check_int
 
 _TWO_PI = 2.0 * math.pi
@@ -201,9 +203,13 @@ def g_fn(r: int) -> ArithFn:
 
 def c_two_var() -> MultiArithFn:
     """(n, r) -> c_r(n) with the modulus in the second slot."""
+    from .multivar import MultiArithFn  # loaded by the two-variable forms only
+
     return MultiArithFn("c-two-var", 2, lambda pt: c(pt[1], pt[0]))
 
 
 def c_bar_two_var() -> MultiArithFn:
     """(n, r) -> c_bar_r(n) with the modulus in the second slot."""
+    from .multivar import MultiArithFn
+
     return MultiArithFn("c-bar-two-var", 2, lambda pt: c_bar(pt[1], pt[0]))

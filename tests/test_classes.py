@@ -498,10 +498,12 @@ def test_rearick_takes_the_semimultiplicative_report():
 
 
 @pytest.mark.parametrize("check", [check_rearick, extract_selberg, extract_selberg_u])
-@pytest.mark.parametrize("other", ["window", "class", "arity"])
+@pytest.mark.parametrize("other", ["window", "class", "arity", "kind"])
 def test_a_handed_in_report_must_be_the_semimultiplicative_one(check, other):
     # f is phi on 1..32 but f(40) = 99: from the window-32 report,
-    # extract_selberg(f, 64) would predict f(40) = 16
+    # extract_selberg(f, 64) would predict f(40) = 16. Of the other kind: a
+    # report with int points for a function of 1-tuples, or the reverse,
+    # both of arity 1, would build a factor system of the wrong shape.
     f1 = perturb(phi, 40, 99)
     fu = tensor(f1, classical("one"))
     semi = {f1: check_semimultiplicative(f1, 32), fu: check_semimultiplicative_u(fu, 32)}
@@ -511,7 +513,10 @@ def test_a_handed_in_report_must_be_the_semimultiplicative_one(check, other):
         "window": (64, semi[f]),
         "class": (32, quasi(f, 32)),
         "arity": (32, semi[g]),
+        "kind": (32, semi[f1] if f is fu else check_semimultiplicative_u(tensor(f1), 32)),
     }[other]
+    if other == "kind" and f is fu:
+        f = tensor(f1)
     assert report.verdict == CONSISTENT
     with pytest.raises(ValueError, match="semimultiplicative report on window"):
         check(f, window, report)

@@ -27,6 +27,22 @@ def test_factorize_known():
     assert nt.factorize(360).pairs == ((2, 3), (3, 2), (5, 1))
 
 
+def test_factorization_contract():
+    fac = nt.factorize(360)
+    assert fac.pairs == ((2, 3), (3, 2), (5, 1))
+    assert fac.pairs is fac.pairs  # a stored attribute, not rebuilt per read
+    assert list(fac) == list(fac.pairs) and len(fac) == 3 and fac.value() == 360
+    assert len(nt.factorize(1)) == 0 and nt.factorize(1).value() == 1
+    same = nt.Factorization(((2, 3), (3, 2), (5, 1)))
+    assert same == fac and hash(same) == hash(fac) and len({same, fac}) == 1
+    assert fac != nt.factorize(180) and fac != fac.pairs
+    for change in (lambda: setattr(fac, "pairs", ()), lambda: delattr(fac, "pairs"),
+                   lambda: setattr(fac, "other", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert fac.pairs == ((2, 3), (3, 2), (5, 1))
+
+
 def test_factorize_rejects_nonpositive():
     with pytest.raises(ValueError):
         nt.factorize(0)
