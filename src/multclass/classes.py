@@ -335,10 +335,11 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
     is evaluated once and kept. Values read once are kept nowhere but read
-    through past, for an ArithFn the function under its memo, else f: an
-    argument past the window, such as a Rearick product, and the window
-    values that _least_sweep keeps in its own table or that the support law
-    reads off the multiples of a.
+    through past, for an ArithFn the function under its memo, for a
+    MultiArithFn its memo (every point is the checkers' own, so none needs
+    the argument check), else f: an argument past the window, such as a
+    Rearick product, and the window values that _least_sweep keeps in its
+    own table or that the support law reads off the multiples of a.
 
     For a function with an arity, 1 included, points are tuples and the
     window is the corner (W, ..., W) of the window box. Tuples compare
@@ -347,7 +348,7 @@ class _WindowValues(dict):
     def __init__(self, f: Callable, window: int):
         super().__init__()
         self.f, self.window = f, (window,) * f.arity if hasattr(f, "arity") else window
-        self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else f
+        self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else getattr(f, "_eval", f)
 
     def __missing__(self, n: AnyPoint) -> Rational:
         if n > self.window:

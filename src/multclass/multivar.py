@@ -20,13 +20,14 @@ constraints once the per-prime gauge freedom is fixed by anchoring
 F_p(0,...,0) = 1 wherever the support permits.
 
 Every checker reads f through one value table of the window box
-(classes._WindowValues), check_selberg_u each prime's signatures as one
-column over the box (_signature_column). check_semimultiplicative_u runs
-classes._least_sweep: from a table of f(a N), two coprime splits per box
-point (_tuple_splits) decide, and only a refuted law reruns the
-lexicographic sweep of every coprime pair (_coprime_tuple_pairs) for the
-least witness. The multiplicative and quasimultiplicative rows are read
-off f(1, ..., 1) and that sweep (classes._coprime_row).
+(classes._WindowValues), but check_selberg_u reads each box point once,
+under f's memo, with its sparse row of signatures (_row).
+check_semimultiplicative_u runs classes._least_sweep: from a table of
+f(a N), two coprime splits per box point (_tuple_splits) decide, and only
+a refuted law reruns the lexicographic sweep of every coprime pair
+(_coprime_tuple_pairs) for the least witness. The multiplicative and
+quasimultiplicative rows are read off f(1, ..., 1) and that sweep
+(classes._coprime_row).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -152,9 +153,19 @@ def _points(window: int, u: int) -> Iterator[Point]:
     return itertools.product(range(1, window + 1), repeat=u)
 
 
-def _signature_column(p: int, window: int, u: int) -> list[Point]:
-    """_signature(p, pt) at every window box point, in _points order."""
-    return list(itertools.product(_signature(p, range(1, window + 1)), repeat=u))
+# one object per entry (p, signature), shared by the cached rows that hold it
+_entry = lru_cache(maxsize=MEMO_SIZE)(lambda p, sig: (p, sig))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _row(pt: Point) -> tuple[tuple[int, Point], ...]:
+    """(p, _signature(p, pt)) for each prime p of the product of pt's
+    coordinates, ascending: pt's sparse row of signatures."""
+    exps: dict[int, list[int]] = {}
+    for i, x in enumerate(pt):
+        for p, e in nt._walk(x):
+            exps.setdefault(p, [0] * len(pt))[i] = e
+    return tuple(_entry(p, tuple(exps[p])) for p in sorted(exps))
 
 
 def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
@@ -274,10 +285,14 @@ class SelbergSystem:
 def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     """Decide whether any per-prime factor system matches the window.
 
-    Phase 1 (zero pattern): a signature e of prime p is a candidate zero,
-    Z_p, when every window point carrying it vanishes; every zero of f must
-    carry at least one candidate-zero signature, otherwise no factor system
-    can produce it.
+    Each box point is read once, under f's memo, with its sparse row
+    (_row). A p-signature is live when a support point carries it, else a
+    candidate zero of F_p; (0, ..., 0) is one exactly for the exception
+    primes, which divide every support product.
+
+    Phase 1 (zero pattern): every zero of f must carry a candidate zero (an
+    exception prime does not divide its product, or a prime of its row has
+    a dead signature there); no factor system can produce any other zero.
 
     Phase 2 (ratios): on the support, anchor F_p(0,...,0) = 1 for every
     prime whose zero pattern allows it (the rest are the exception primes;
@@ -288,56 +303,46 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     """
     _require_window(f, window, True, "classify_all")
     u = f.arity
-    pts = list(_points(window, u))
-    values = _WindowValues(f, window).__getitem__
-    nonzero = [values(pt) != 0 for pt in pts]
-    if not any(nonzero):
-        return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
     primes = nt.primes_up_to(window) if window >= 2 else []
-    zero_vec = (0,) * u
-    support = list(itertools.compress(pts, nonzero))
-
-    # owner[p][e]: the first support point of p-signature e (dict keeps the last write)
-    cols, owner, zero_sigs = {}, {}, {}
-    for p in primes:
-        column = cols[p] = _signature_column(p, window, u)
-        owner[p] = dict(zip(reversed(list(itertools.compress(column, nonzero))), reversed(support)))
-        zero_sigs[p] = frozenset(set(column) - owner[p].keys())
+    # owner[p][e]: the first support point of nonzero p-signature e;
+    # divides[p]: how many support points p divides
+    owner: dict[int, dict[Point, Point]] = {p: {} for p in primes}
+    divides = dict.fromkeys(primes, 0)
+    equations, zeros = [], []  # (pt, value, row) on the support, and off it
+    for pt in _points(window, u):
+        value = f._eval(pt)
+        (equations if value != 0 else zeros).append((pt, value, _row(pt)))
+    for pt, _, row in equations:
+        for p, s in row:
+            owner[p].setdefault(s, pt)
+            divides[p] += 1
+    if not equations:
+        return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
+    exceptions = tuple(p for p in primes if divides[p] == len(equations))
 
     # phase 1: every zero must be explained by some candidate zero signature
-    for pt, nz, *row in zip(pts, nonzero, *cols.values()):
-        if not nz and not any(s in zero_sigs[p] for p, s in zip(primes, row)):
-            sharers = [(p, owner[p][s]) for p, s in zip(primes, row)]
-            _, owner0 = sharers[0] if sharers else (None, None)
+    for pt, value, row in zeros:
+        sigs = dict(row)
+        if all(p in sigs for p in exceptions) and all(s in owner[p] for p, s in row):
+            # each prime <= W (2 at least, as W > 1) shares pt's signature
+            sharers = [
+                (p, owner[p][sigs[p]] if p in sigs else
+                 next(q for q, _, _ in equations if math.prod(q) % p))
+                for p in primes
+            ]
+            q0 = sharers[0][1]
+            w = Witness(q0, pt, value, next(v for q, v, _ in equations if q == q0), LAW_COVER)
             detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
             return ClassReport(
-                SELBERG,
-                REFUTED,
-                window,
-                arity=u,
-                witness=Witness(
-                    owner0, pt, values(pt), values(owner0) if owner0 else 1, LAW_COVER
-                ),
+                SELBERG, REFUTED, window, arity=u, witness=w,
                 reason=f"f{pt} = 0 is not explained by any per-prime zero pattern ({detail})",
             )
 
-    exceptions = tuple(p for p in primes if zero_vec in zero_sigs[p])
     ones = (1,) * u
-    constant = Fraction(values(ones)) if values(ones) != 0 else Fraction(1)
-
-    known: dict[tuple[int, Point], Fraction] = {}
-    anchors: list[tuple[int, Point]] = []
-    for p in exceptions[1:]:
-        live = sorted(owner[p])
-        if live:
-            known[(p, live[0])] = Fraction(1)
-            anchors.append((p, live[0]))
+    constant = Fraction(equations[0][1]) if equations[0][0] == ones else Fraction(1)
+    anchors = tuple((p, min(owner[p])) for p in exceptions[1:])
+    known: dict[tuple[int, Point], Fraction] = dict.fromkeys(anchors, Fraction(1))
     defining: dict[tuple[int, Point], Point] = {}
-
-    equations = []
-    for pt, *row in zip(support, *(itertools.compress(c, nonzero) for c in cols.values())):
-        factors = tuple((p, s) for p, s in zip(primes, row) if s != zero_vec)
-        equations.append((pt, Fraction(values(pt)), factors))
 
     changed = True
     while changed:
@@ -356,15 +361,11 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
             defining[unknown[0]] = pt
             changed = True
 
-    stuck = [
-        (pt, factors)
-        for pt, _, factors in equations
-        if any(key not in known for key in factors)
-    ]
+    stuck = [pt for pt, _, factors in equations if any(key not in known for key in factors)]
     if stuck:
         raise RuntimeError(
             f"window {window} leaves the factor system underdetermined at "
-            f"{stuck[0][0]}; enlarge the window"
+            f"{stuck[0]}; enlarge the window"
         )
 
     for pt, value, factors in equations:
@@ -377,29 +378,22 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
                 for p, sig in factors
             )
             return ClassReport(
-                SELBERG,
-                REFUTED,
-                window,
-                arity=u,
-                witness=Witness(None, pt, Fraction(values(pt)), pred, LAW_RATIO),
-                reason=(
-                    f"with constant {constant} and {origin}, the product at {pt} "
-                    f"is {pred} but f{pt} = {value}"
-                ),
+                SELBERG, REFUTED, window, arity=u,
+                witness=Witness(None, pt, Fraction(value), pred, LAW_RATIO),
+                reason=(f"with constant {constant} and {origin}, the product at {pt} "
+                        f"is {pred} but f{pt} = {Fraction(value)}"),
             )
 
     tables: dict[int, dict[Point, Fraction]] = {}
+    zero, one = Fraction(0), Fraction(1)
     for p in primes:
-        col: dict[Point, Fraction] = {}
-        for s in sorted(owner[p].keys() | zero_sigs[p]):
-            if s in zero_sigs[p]:
-                col[s] = Fraction(0)
-            elif s == zero_vec:
-                col[s] = Fraction(1)
-            else:
-                col[s] = known[(p, s)]
-        tables[p] = col
-    system = SelbergSystem(constant, tables, exceptions, tuple(anchors))
+        # keyed by {0, ..., top}^u, top the largest exponent of p in the window
+        top = next(e for e in itertools.count(1) if p ** (e + 1) > window)
+        tables[p] = {
+            s: known[(p, s)] if s in owner[p] else zero if any(s) or p in exceptions else one
+            for s in itertools.product(range(top + 1), repeat=u)
+        }
+    system = SelbergSystem(constant, tables, exceptions, anchors)
     return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
 
 

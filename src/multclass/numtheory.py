@@ -173,6 +173,9 @@ class Factorization:
     def __hash__(self) -> int:
         return hash(self.pairs)
 
+    def __reduce__(self):  # pickle through __init__, not the refusing __setattr__
+        return Factorization, (self.pairs,)
+
     def __repr__(self) -> str:
         return f"Factorization(pairs={self.pairs!r})"
 

@@ -1,7 +1,8 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from unittest import mock
 
 import pytest
@@ -15,9 +16,11 @@ from multclass.arith import classical, scale
 from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
+    LAW_COVER,
     LAW_FORCED_SHIFT,
     LAW_MULT_U,
     LAW_QUASI_U,
+    LAW_RATIO,
     LAW_SHIFTED_U,
     LAW_UNIT_U,
     MULTIPLICATIVE,
@@ -26,6 +29,8 @@ from multclass.classes import (
     SELBERG,
     SEMIMULTIPLICATIVE,
     ClassReport,
+    Witness,
+    _WindowValues,
     _pmul,
     _report,
     _signature,
@@ -33,8 +38,9 @@ from multclass.classes import (
 )
 from multclass.multivar import (
     MultiArithFn,
+    SelbergSystem,
     _coprime_tuple_pairs,
-    _signature_column,
+    _row,
     _tuple_splits,
     check_multiplicative_u,
     check_quasimultiplicative_u,
@@ -342,23 +348,29 @@ VALUES = [0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
 
 
 @st.composite
-def per_prime_products(draw, largest=(12, 8)):
+def per_prime_products(
+    draw, largest=None, arities=(2, 3), most_exceptions=2, zero_ps=(0.0, 0.0, 0.1, 0.3)
+):
     """C * prod_p F_p(signature at p) on the multiples of a shift, else 0,
-    with random columns for p <= W (zero entries included) and up to two
-    exception primes, F_p(0, ..., 0) = 0; then three times in four one
-    window value is changed. W runs up to largest[arity - 2]."""
-    arity = draw(st.integers(2, 3))
+    with random columns for p <= W (zero entries, with probability drawn
+    from zero_ps, included) and up to most_exceptions exception primes,
+    F_p(0, ..., 0) = 0; then three times in four one window value is
+    changed. The arity runs over arities and W up to largest[arity]."""
     # arity 3 stops at W = 8 by default, which keeps the oracle's full
     # sweeps short
-    window = draw(st.integers(1, largest[arity - 2]))
+    largest = largest or {2: 12, 3: 8}
+    arity = draw(st.integers(*arities))
+    window = draw(st.integers(1, largest[arity]))
     rng = random.Random(draw(st.integers(0, 2**32)))
-    zero_p = draw(st.sampled_from([0.0, 0.0, 0.1, 0.3]))
+    zero_p = draw(st.sampled_from(zero_ps))
     primes = nt.primes_up_to(window)
     exceptions = set()
     if primes and draw(st.booleans()):
-        exceptions = draw(st.sets(st.sampled_from(primes[:3]), min_size=1, max_size=2))
+        exceptions = draw(
+            st.sets(st.sampled_from(primes[:3]), min_size=1, max_size=most_exceptions)
+        )
     ones = (1,) * arity
-    shift = draw(st.sampled_from([ones, ones, ones, (2,) + ones[1:], (1, 3) + ones[2:]]))
+    shift = draw(st.sampled_from([ones, ones, ones, (2,) + ones[1:], (1, 3)[-arity:] + ones[2:]]))
     columns = {}
     for p in primes:
         top = 0  # the largest exponent of p in the window
@@ -420,7 +432,7 @@ def flat_product(arity, window, C, exceptions=(), changes=None):
 
 
 @settings(max_examples=150, deadline=None)
-@given(per_prime_products(largest=(10, 10)))
+@given(per_prime_products(largest={2: 10, 3: 10}))
 # f(1, 1) = 0 with support gcd (1, 1): refuted by LAW_FORCED_SHIFT, so c is None
 @example(flat_product(2, 6, 1, exceptions=(2,)))
 @example(flat_product(3, 4, 2, exceptions=(3,)))
@@ -450,7 +462,185 @@ def test_classify_all_u_matches_the_three_checkers(spec):
 
 @pytest.mark.parametrize("u", [1, 2, 3])
 def test_signature_columns_match_the_signatures(u):
+    # a sparse row holds the nonzero entries of the dense columns at pt
     for window in range(1, 13):
-        for p in nt.primes_up_to(window):
-            points = product(range(1, window + 1), repeat=u)
-            assert _signature_column(p, window, u) == [_signature(p, pt) for pt in points]
+        primes = nt.primes_up_to(window)
+        for pt in product(range(1, window + 1), repeat=u):
+            dense = [(p, _signature(p, pt)) for p in primes]
+            assert _row(pt) == tuple((p, s) for p, s in dense if any(s)), pt
+
+
+def dense_selberg_u(f, window):
+    """check_selberg_u as it was decided from dense columns: one signature
+    column per prime p <= W over the whole box, zipped at every point, and
+    every value read through the window table as a Fraction."""
+    u = f.arity
+    pts = list(product(range(1, window + 1), repeat=u))
+    values = _WindowValues(f, window).__getitem__
+    nonzero = [values(pt) != 0 for pt in pts]
+    if not any(nonzero):
+        return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
+    primes = nt.primes_up_to(window) if window >= 2 else []
+    zero_vec = (0,) * u
+    support = list(compress(pts, nonzero))
+
+    # owner[p][e]: the first support point of p-signature e (dict keeps the last write)
+    cols, owner, zero_sigs = {}, {}, {}
+    for p in primes:
+        column = cols[p] = list(product(_signature(p, range(1, window + 1)), repeat=u))
+        owner[p] = dict(zip(reversed(list(compress(column, nonzero))), reversed(support)))
+        zero_sigs[p] = frozenset(set(column) - owner[p].keys())
+
+    # phase 1: every zero must be explained by some candidate zero signature
+    for pt, nz, *row in zip(pts, nonzero, *cols.values()):
+        if not nz and not any(s in zero_sigs[p] for p, s in zip(primes, row)):
+            sharers = [(p, owner[p][s]) for p, s in zip(primes, row)]
+            _, owner0 = sharers[0] if sharers else (None, None)
+            detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
+            return ClassReport(
+                SELBERG,
+                REFUTED,
+                window,
+                arity=u,
+                witness=Witness(
+                    owner0, pt, values(pt), values(owner0) if owner0 else 1, LAW_COVER
+                ),
+                reason=f"f{pt} = 0 is not explained by any per-prime zero pattern ({detail})",
+            )
+
+    exceptions = tuple(p for p in primes if zero_vec in zero_sigs[p])
+    ones = (1,) * u
+    constant = Fraction(values(ones)) if values(ones) != 0 else Fraction(1)
+
+    known = {}
+    anchors = []
+    for p in exceptions[1:]:
+        live = sorted(owner[p])
+        if live:
+            known[(p, live[0])] = Fraction(1)
+            anchors.append((p, live[0]))
+    defining = {}
+
+    equations = []
+    for pt, *row in zip(support, *(compress(c, nonzero) for c in cols.values())):
+        factors = tuple((p, s) for p, s in zip(primes, row) if s != zero_vec)
+        equations.append((pt, Fraction(values(pt)), factors))
+
+    changed = True
+    while changed:
+        changed = False
+        for pt, value, factors in equations:
+            unknown = [key for key in factors if key not in known]
+            if len(unknown) != 1:
+                continue
+            rest = constant
+            for key in factors:
+                if key != unknown[0]:
+                    rest *= known[key]
+            if rest == 0:
+                continue
+            known[unknown[0]] = value / rest
+            defining[unknown[0]] = pt
+            changed = True
+
+    stuck = [
+        (pt, factors)
+        for pt, _, factors in equations
+        if any(key not in known for key in factors)
+    ]
+    if stuck:
+        raise RuntimeError(
+            f"window {window} leaves the factor system underdetermined at "
+            f"{stuck[0][0]}; enlarge the window"
+        )
+
+    for pt, value, factors in equations:
+        pred = constant
+        for key in factors:
+            pred *= known[key]
+        if pred != value:
+            origin = "; ".join(
+                f"F_{p}{sig} = {known[(p, sig)]} pinned at {defining.get((p, sig), 'anchor')}"
+                for p, sig in factors
+            )
+            return ClassReport(
+                SELBERG,
+                REFUTED,
+                window,
+                arity=u,
+                witness=Witness(None, pt, Fraction(values(pt)), pred, LAW_RATIO),
+                reason=(
+                    f"with constant {constant} and {origin}, the product at {pt} "
+                    f"is {pred} but f{pt} = {value}"
+                ),
+            )
+
+    tables = {}
+    for p in primes:
+        col = {}
+        for s in sorted(owner[p].keys() | zero_sigs[p]):
+            if s in zero_sigs[p]:
+                col[s] = Fraction(0)
+            elif s == zero_vec:
+                col[s] = Fraction(1)
+            else:
+                col[s] = known[(p, s)]
+        tables[p] = col
+    system = SelbergSystem(constant, tables, exceptions, tuple(anchors))
+    return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
+
+
+def selberg_fields(check, f, window):
+    """Every field of a Selberg report, the system's included, as text, so
+    that types count too; or the message of the RuntimeError raised."""
+    try:
+        rep = check(f, window)
+    except RuntimeError as exc:
+        return "raises", str(exc)
+    s = rep.system
+    system = None if s is None else (s.constant, s.tables, s.exceptions, s.anchors)
+    return repr((report_fields(rep), rep.window, rep.arity, system))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    per_prime_products(
+        largest={1: 12, 2: 12, 3: 12},
+        arities=(1, 3),
+        most_exceptions=3,
+        zero_ps=(0.0, 0.1, 0.3, 1.0),
+    )
+)
+# an exception prime explains every zero whose product it does not divide
+@example(flat_product(2, 6, 1, exceptions=(2,)))
+@example(flat_product(1, 12, 2, exceptions=(3,)))
+@example(flat_product(3, 6, 1, exceptions=(2, 3, 5)))
+# refuted by the zero pattern (the cover sharers) and by a ratio
+@example(flat_product(2, 6, 1, changes={(2, 3): 0}))
+@example(flat_product(3, 5, 1, exceptions=(2,), changes={(2, 3, 2): 0}))
+@example(flat_product(2, 6, 1, changes={(2, 3): 5}))
+def test_selberg_u_matches_the_dense_solver(spec):
+    f = build_product(*spec)
+    window = spec[1]
+    assert selberg_fields(check_selberg_u, f, window) == selberg_fields(dense_selberg_u, f, window)
+
+
+def test_selberg_u_reads_each_box_value_once_under_the_memo():
+    reads = Counter()
+
+    class Checked(MultiArithFn):
+        __slots__ = ()
+
+        def __call__(self, point):
+            reads["checked"] += 1
+            return super().__call__(point)
+
+    def hole(pt):
+        reads[pt] += 1
+        return 0 if pt in ((2, 3), (5, 5)) else 1
+
+    for window, verdict in ((6, REFUTED), (4, REFUTED), (1, CONSISTENT)):
+        reads.clear()
+        f = Checked("hole", 2, hole)
+        assert check_selberg_u(f, window).verdict == verdict
+        assert reads == Counter(dict.fromkeys(product(range(1, window + 1), repeat=2), 1))

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import pytest
@@ -41,6 +42,16 @@ def test_factorization_contract():
         with pytest.raises(AttributeError):
             change()
     assert fac.pairs == ((2, 3), (3, 2), (5, 1))
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_factorization_survives_pickle(protocol):
+    for n in (1, 97, 360):
+        fac = nt.factorize(n)
+        back = pickle.loads(pickle.dumps(fac, protocol))
+        assert type(back) is nt.Factorization and back == fac and back.pairs == fac.pairs
+        with pytest.raises(AttributeError):
+            back.pairs = ()
 
 
 def test_factorize_rejects_nonpositive():
