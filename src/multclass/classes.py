@@ -13,11 +13,11 @@ the same table, sweeps and recheck. The coprime-pair classes share one
 identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
 quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
 the shift a. One engine, _least_sweep, decides the shifted law in every
-arity from a table of f(a N) over two splits per product (coprime_pairs)
-or per box point (multivar._tuple_splits); only a failure runs _sweep for
-the least witness: by (m*n, m) for one-variable pairs, lexicographically
-for tuple pairs. _coprime_row reads the other two rows off f(unit) and,
-at a = unit, off that sweep. check_rearick decides its law by Rearick's
+arity from a table of f(a N) over the two splits per int or box point of
+one iterator, coprime_pairs; only a failure runs _sweep for the least
+witness: by (m*n, m) for one-variable pairs, lexicographically for tuple
+pairs. _coprime_row reads the other two rows off f(unit) and, at
+a = unit, off that sweep. check_rearick decides its law by Rearick's
 theorem and sweeps every pair, by (m, n), only for a refutation's
 witness. One factor-system type, SelbergFactorization, and one
 extractor, extract_selberg, serve every arity.
@@ -230,7 +230,7 @@ class ClassReport:
     forcing: tuple = ()
     system: "Optional[SelbergSystem]" = None
     factorization: "Optional[SelbergFactorization]" = None
-    table: Optional[Union[list, dict]] = field(default=None, repr=False, compare=False)
+    table: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def consistent(self) -> bool:
@@ -244,25 +244,41 @@ def _report(klass: str, window: int, w: Optional[Witness], **known) -> ClassRepo
     return ClassReport(klass, REFUTED, window, witness=w, reason=_reason(w), **known)
 
 
-def coprime_pairs(bound: int) -> Iterator[tuple[int, int]]:
-    """Two coprime splits of each product N = 1..bound, ascending: (1, N),
-    then (q, N // q) when N has two or more prime factors, where q is the
-    full power of N's least prime.
+def coprime_pairs(caps: Union[int, tuple[int, ...]]) -> Iterator[tuple]:
+    """Two coprime splits of each point N up to caps, by (prod N, N): (unit,
+    N), then (Q, N / Q) when prod N has two or more prime factors, Q the
+    componentwise full power of its least prime. An int caps gives the ints
+    1..caps, a tuple caps the box of tuples N with N_i <= caps[i].
 
-    These two suffice for any law c F(m n) = F(m) F(n) with c != 0. If it
-    holds at every split of every product below N and at these two, take a
-    split m n = N with q | m, m = q m'. Then c^2 F(N) = c F(q) F(m' n) =
-    F(q) F(m') F(n) = c F(m) F(n). So the first product with a failing
-    split is the first N failing here; _splits then gives the least
-    witness. With c = F(1), each (1, N) holds by itself (_least_sweep).
+    These two suffice for any law c F(m.n) = F(m) F(n) with c != 0. If it
+    holds at every split of every point before N and at these two, a
+    coprime split m.n = N sends all of Q to one side, m = Q.m'. Then
+    c^2 F(N) = c F(Q) F(m'.n) = F(Q) F(m') F(n) = c F(m) F(n): each point
+    reduced to has a smaller product, and componentwise divisors of N stay
+    in the box. So the first point with a failing split is the first N
+    failing here. With c = F(unit), each (unit, N) holds by itself.
     """
-    for prod in range(1, bound + 1):
-        yield 1, prod
+    tuples = not isinstance(caps, int)
+    if tuples:
+        unit = (1,) * len(caps)
+        box = itertools.product(*(range(1, c + 1) for c in caps))
+        # the box comes lexicographically and sorted() is stable: (prod N, N)
+        points = sorted(box, key=math.prod)
+    else:
+        unit, points = 1, range(1, caps + 1)
+    for pt in points:
+        yield unit, pt
+        prod = math.prod(pt) if tuples else pt
         # prod & -prod is the full power of 2 in an even prod; it spares the
         # sweep half of its calls
         q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
         if q != prod:
-            yield q, prod // q
+            if tuples:
+                # gcd(N_i, q) is the least prime's full power in N_i
+                qvec = tuple(math.gcd(x, q) for x in pt)
+                yield qvec, tuple(x // y for x, y in zip(pt, qvec))
+            else:
+                yield q, prod // q
 
 
 def _splits(m: int, n: int) -> Iterator[tuple[int, int]]:
@@ -276,28 +292,25 @@ def _splits(m: int, n: int) -> Iterator[tuple[int, int]]:
 def _least_sweep(
     f: Callable,
     law: str,
-    splits: Iterable[tuple],
+    caps: Union[int, tuple[int, ...]],
     witness_pairs: Callable[[AnyPoint, AnyPoint], Iterable[tuple]],
     c: Rational,
     a: AnyPoint,
-) -> tuple[Optional[Witness], Union[list, dict]]:
+) -> tuple[Optional[Witness], dict]:
     """The least instance at which the shifted law fails, in any arity.
 
     f is a _WindowValues read and c = f(a) != 0. With F(N) = f(a N) the law
-    reads c F(m n) = F(m) F(n), so in the two-split order (coprime_pairs,
-    multivar._tuple_splits) each (unit, N) only stores F(N), read through
-    f's past function, and the (q, N / q) after it compares c F(N) with
+    reads c F(m n) = F(m) F(n), so in the two-split order of
+    coprime_pairs(caps) each (unit, N) only stores F(N), read through f's
+    past function, and the (q, N / q) after it compares c F(N) with
     F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q). Returns
-    the witness or None, and F as read: a list in one variable, a dict by
-    tuple N else."""
-    splits = iter(splits)
-    unit = next(splits)[0]  # every split order opens with (unit, unit)
-    # in one variable N runs 1, 2, ..., so F is a list and insert(N, v) appends
-    F, last, mul = ([None, c] if unit == 1 else {unit: c}), c, _point_product(a)
-    put, past = F.insert if unit == 1 else F.__setitem__, f.__self__.past
-    for m, n in splits:
+    the witness or None, and F as read, a dict by point N."""
+    unit, mul, past = _unit(a), _point_product(a), f.__self__.past
+    F, last = {unit: c}, c
+    # the leading (unit, unit) split would read f(a) = c again
+    for m, n in itertools.islice(coprime_pairs(caps), 1, None):
         if m == unit:
-            put(n, last := past(mul(a, n)))
+            F[n] = last = past(mul(a, n))
         elif c * last != F[m] * F[n]:
             return _sweep(f, law, witness_pairs(m, n), mul, c, a), F
     return None, F
@@ -419,7 +432,7 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     if w is not None:
         return _report(SEMIMULTIPLICATIVE, window, w, a=a)
     fa = values(a)
-    w, F = _least_sweep(values, LAW_SHIFTED, coprime_pairs(window // a), _splits, fa, a)
+    w, F = _least_sweep(values, LAW_SHIFTED, window // a, _splits, fa, a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a, table=F)
 
 
@@ -474,7 +487,7 @@ def check_rearick(f: ArithFn, window: int, semi: Optional[ClassReport] = None) -
     if semi.consistent:
         a, c, past = semi.a, semi.c, values.__self__.past
         # semi's table, or else read afresh for a report made by hand
-        F = semi.table or [None] + [values(a * n) for n in range(1, window // a + 1)]
+        F = semi.table or {n: values(a * n) for n in range(1, window // a + 1)}
         if all(c * past(a * u * v) == F[u] * F[v] for u, v in _wide_splits(window // a)):
             return _report(REARICK, window, None)
     pairs = (

@@ -23,8 +23,9 @@ Every checker reads f through one value table of the window box
 (classes._WindowValues), but check_selberg_u reads each box point once,
 under f's memo, with its sparse row of signatures (_row).
 check_semimultiplicative_u runs classes._least_sweep: from a table of
-f(a N), two coprime splits per box point (_tuple_splits) decide, and only
-a refuted law reruns the lexicographic sweep of every coprime pair
+f(a N), two coprime splits per box point decide, from the one-variable
+iterator classes.coprime_pairs given the box's caps, and only a refuted
+law reruns the lexicographic sweep of every coprime pair
 (_coprime_tuple_pairs) for the least witness. The multiplicative and
 quasimultiplicative rows are read off f(1, ..., 1) and that sweep
 (classes._coprime_row).
@@ -178,33 +179,6 @@ def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
                 yield nvec, mvec
 
 
-def _tuple_splits(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
-    """Two coprime splits of each point N of the box, ordered by (prod N, N):
-    (1, N), then (Q, N / Q) when prod N has two or more prime factors,
-    where Q is the componentwise full power of the least prime of prod N.
-
-    classes.coprime_pairs's induction goes through unchanged for any law
-    c F(m.n) = F(m) F(n) with c != 0: a coprime split of N sends all of Q
-    to one side, every product it reduces to is smaller, and componentwise
-    divisors of N stay in the box. So these two splits fail somewhere
-    exactly when some coprime pair of the box does. (1, N) comes just
-    before (Q, N / Q) and holds by itself when c = F(1), so
-    classes._least_sweep only reads F(N) there.
-    """
-    ones = (1,) * len(caps)
-    box = itertools.product(*(range(1, c + 1) for c in caps))
-    # the box comes lexicographically and sorted() is stable: (prod N, N)
-    for pt in sorted(box, key=math.prod):
-        yield ones, pt
-        prod = math.prod(pt)
-        # q is the least prime's full power in prod N, so gcd(N_i, q) is its
-        # full power in N_i
-        q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
-        if q != prod:
-            qvec = tuple(math.gcd(x, q) for x in pt)
-            yield qvec, tuple(x // y for x, y in zip(pt, qvec))
-
-
 def check_multiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
     """Decide f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
     _require_window(f, window, True, "check_multiplicative")
@@ -249,8 +223,8 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
         return rep
     fa = values(avec)
     caps = tuple(window // ai for ai in avec)
-    splits, pairs = _tuple_splits(caps), _coprime_tuple_pairs(caps)
-    w, F = _least_sweep(values, LAW_SHIFTED_U, splits, lambda m, n: pairs, fa, avec)
+    pairs = _coprime_tuple_pairs(caps)
+    w, F = _least_sweep(values, LAW_SHIFTED_U, caps, lambda m, n: pairs, fa, avec)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, table=F, **known)
 
 

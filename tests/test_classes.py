@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from dataclasses import replace
@@ -44,6 +45,7 @@ from multclass.classes import (
 from multclass.corpus import corpus
 from multclass.multivar import (
     MultiArithFn,
+    _coprime_tuple_pairs,
     check_multiplicative_u,
     check_quasimultiplicative_u,
     check_selberg_u,
@@ -536,10 +538,36 @@ def test_wide_splits_visit_each_product_past_the_bound_once(bound):
         assert sorted(u * v for u, v in splits) == sorted(products)
 
 
-@pytest.mark.parametrize("window, count", [(1, 1), (64, 100), (16384, 30806)])
-def test_coprime_pairs_yields_two_splits_per_composite_product(window, count):
-    several = sum(1 for n in range(1, window + 1) if nt.omega(n) >= 2)
-    assert sum(1 for _ in coprime_pairs(window)) == window + several == count
+@pytest.mark.parametrize(
+    "caps, splits, pairs",
+    [
+        (1, 1, None),
+        (64, 100, None),
+        (16384, 30806, None),
+        ((14, 14, 14), 5370, 19499),
+        ((40, 40), 3114, 10695),
+        ((1, 1), 1, 1),
+    ],
+)
+def test_coprime_pairs_yields_two_splits_per_point_of_several_primes(caps, splits, pairs):
+    # pairs counts the tuple witness sweep that a failed tuple split reruns
+    axes = [range(1, c + 1) for c in (caps if isinstance(caps, tuple) else (caps,))]
+    several = sum(1 for pt in itertools.product(*axes) if nt.omega(math.prod(pt)) >= 2)
+    assert sum(1 for _ in coprime_pairs(caps)) == math.prod(map(len, axes)) + several == splits
+    if pairs is not None:
+        assert sum(1 for _ in _coprime_tuple_pairs(caps)) == pairs
+
+
+def test_coprime_pairs_of_a_tuple_caps_split_the_box_in_product_order():
+    for window in range(1, 65):
+        ints = [((m,), (n,)) for m, n in coprime_pairs(window)]
+        assert list(coprime_pairs((window,))) == ints
+    for caps in ((12, 7), (6, 5, 4)):
+        splits = list(coprime_pairs(caps))
+        assert all(math.gcd(math.prod(m), math.prod(n)) == 1 for m, n in splits)
+        points = [n for m, n in splits if m == (1,) * len(caps)]
+        box = itertools.product(*(range(1, c + 1) for c in caps))
+        assert points == sorted(box, key=lambda pt: (math.prod(pt), pt))
 
 
 def test_classify_all_reads_each_window_value_once():

@@ -35,13 +35,13 @@ from multclass.classes import (
     _report,
     _signature,
     _sweep,
+    coprime_pairs,
 )
 from multclass.multivar import (
     MultiArithFn,
     SelbergSystem,
     _coprime_tuple_pairs,
     _row,
-    _tuple_splits,
     check_multiplicative_u,
     check_quasimultiplicative_u,
     check_selberg_u,
@@ -270,26 +270,12 @@ def test_window_guards():
         check_multiplicative_u(three, 4)
 
 
-@pytest.mark.parametrize(
-    "caps, splits, pairs", [((14, 14, 14), 5370, 19499), ((40, 40), 3114, 10695), ((1, 1), 1, 1)]
-)
-def test_tuple_splits_are_two_per_point_of_several_primes(caps, splits, pairs):
-    several = sum(
-        1 for pt in product(*(range(1, c + 1) for c in caps)) if nt.omega(math.prod(pt)) >= 2
-    )
-    got = list(_tuple_splits(caps))
-    assert len(got) == math.prod(caps) + several == splits
-    assert sum(1 for _ in _coprime_tuple_pairs(caps)) == pairs
-    points = [_pmul(m, n) for m, n in got if m == (1,) * len(caps)]
-    assert points == sorted(points, key=lambda pt: (math.prod(pt), pt))
-
-
 def test_refuted_tuple_sweep_keeps_the_lexicographic_witness():
     # (6, 1) is the least failing product, but the lexicographic sweep of
     # (n, m) meets n = (1, 2), m = (1, 5) before n = (2, 1), m = (3, 1)
     broken = {(6, 1): 7, (1, 10): 5}
     f = MultiArithFn("two-bumps", 2, lambda pt: broken.get(pt, 1))
-    first = _sweep(f, LAW_MULT_U, _tuple_splits((12, 12)), _pmul)
+    first = _sweep(f, LAW_MULT_U, coprime_pairs((12, 12)), _pmul)
     assert _pmul(first.m, first.n) == (6, 1)
     rep = check_multiplicative_u(f, 12)
     w = rep.witness
