@@ -303,15 +303,20 @@ def _least_sweep(
     reads c F(m n) = F(m) F(n), so in the two-split order of
     coprime_pairs(caps) each (unit, N) only stores F(N), read through f's
     past function, and the (q, N / q) after it compares c F(N) with
-    F(q) F(N / q); a failure there sweeps witness_pairs(q, N / q). Returns
-    the witness or None, and F as read, a dict by point N."""
+    F(q) F(N / q) as integer cross products (as_integer_ratio, for int and
+    Fraction); a failure sweeps witness_pairs(q, N / q). Returns the
+    witness or None, and F as read, a dict by point N."""
     unit, mul, past = _unit(a), _point_product(a), f.__self__.past
     F, last = {unit: c}, c
+    cn, cd = c.as_integer_ratio()
     # the leading (unit, unit) split would read f(a) = c again
     for m, n in itertools.islice(coprime_pairs(caps), 1, None):
         if m == unit:
             F[n] = last = past(mul(a, n))
-        elif c * last != F[m] * F[n]:
+            continue
+        ln, ld = last.as_integer_ratio()
+        (xn, xd), (yn, yd) = F[m].as_integer_ratio(), F[n].as_integer_ratio()
+        if cn * ln * xd * yd != xn * yn * cd * ld:
             return _sweep(f, law, witness_pairs(m, n), mul, c, a), F
     return None, F
 

@@ -23,12 +23,13 @@ Every checker reads f through one value table of the window box
 (classes._WindowValues), but check_selberg_u reads each box point once,
 under f's memo, with its sparse row of signatures (_row).
 check_semimultiplicative_u runs classes._least_sweep: from a table of
-f(a N), two coprime splits per box point decide, from the one-variable
-iterator classes.coprime_pairs given the box's caps, and only a refuted
-law reruns the lexicographic sweep of every coprime pair
-(_coprime_tuple_pairs) for the least witness. The multiplicative and
-quasimultiplicative rows are read off f(1, ..., 1) and that sweep
-(classes._coprime_row).
+f(a N), two coprime splits per box point decide, from classes.coprime_pairs
+given the box's caps, and only a refuted law sweeps the coprime pairs
+lexicographically (_coprime_tuple_pairs) for the least witness, from the
+pairs whose product reaches the failing point's: the induction of
+coprime_pairs has proven every split of a smaller product. The
+multiplicative and quasimultiplicative rows are read off f(1, ..., 1) and
+that sweep (classes._coprime_row).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.
@@ -68,7 +69,6 @@ from .classes import (
     _pmul,
     _report,
     _require_window,
-    _signature,
     _sweep,
     check_multiplicative,
     extract_selberg,
@@ -169,13 +169,14 @@ def _row(pt: Point) -> tuple[tuple[int, Point], ...]:
     return tuple(_entry(p, tuple(exps[p])) for p in sorted(exps))
 
 
-def _coprime_tuple_pairs(caps: Sequence[int]) -> Iterator[tuple[Point, Point]]:
-    """Pairs (n, m) with n_i * m_i <= caps[i] and gcd(prod n, prod m) = 1,
-    in lexicographic order of (n, m)."""
+def _coprime_tuple_pairs(caps: Sequence[int], least: int = 1) -> Iterator[tuple[Point, Point]]:
+    """Pairs (n, m) with n_i * m_i <= caps[i], gcd(prod n, prod m) = 1 and
+    prod n * prod m >= least, in lexicographic order of (n, m)."""
     for nvec in itertools.product(*(range(1, c + 1) for c in caps)):
         pn = math.prod(nvec)
         for mvec in itertools.product(*(range(1, c // x + 1) for c, x in zip(caps, nvec))):
-            if math.gcd(pn, math.prod(mvec)) == 1:
+            pm = math.prod(mvec)
+            if pn * pm >= least and math.gcd(pn, pm) == 1:
                 yield nvec, mvec
 
 
@@ -223,8 +224,8 @@ def check_semimultiplicative_u(f: MultiArithFn, window: int) -> ClassReport:
         return rep
     fa = values(avec)
     caps = tuple(window // ai for ai in avec)
-    pairs = _coprime_tuple_pairs(caps)
-    w, F = _least_sweep(values, LAW_SHIFTED_U, caps, lambda m, n: pairs, fa, avec)
+    unproven = lambda q, r: _coprime_tuple_pairs(caps, math.prod(q) * math.prod(r))
+    w, F = _least_sweep(values, LAW_SHIFTED_U, caps, unproven, fa, avec)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, table=F, **known)
 
 
@@ -240,8 +241,9 @@ class SelbergSystem:
 
     predict() multiplies the constant by every stored column's entry at the
     point's signature, so rescaling one column and compensating in another
-    leaves all predictions unchanged (the gauge freedom). exceptions are
-    the primes whose column could not be anchored to F_p(0,...,0) = 1.
+    leaves all predictions unchanged (the gauge freedom); a point whose row
+    needs an entry the window did not store raises ValueError. exceptions
+    are the primes whose column could not be anchored to F_p(0,...,0) = 1.
     """
 
     constant: Fraction
@@ -250,10 +252,11 @@ class SelbergSystem:
     anchors: tuple[tuple[int, Point], ...]
 
     def predict(self, pt: Point) -> Fraction:
-        val = self.constant
-        for p, col in self.tables.items():
-            val *= col[_signature(p, pt)]
-        return val
+        sigs = dict.fromkeys(self.tables, (0,) * len(pt)) | dict(_row(pt))
+        for p, s in sigs.items():
+            if s not in self.tables.get(p, ()):
+                raise ValueError(f"the system has no F_{p}{s}, which {pt} needs")
+        return math.prod((self.tables[p][s] for p, s in sigs.items()), start=self.constant)
 
 
 def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
@@ -271,9 +274,12 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     Phase 2 (ratios): on the support, anchor F_p(0,...,0) = 1 for every
     prime whose zero pattern allows it (the rest are the exception primes;
     gauge freedom lets all but the first of them take one more unit
-    anchor), propagate single-unknown product equations to a fixpoint, then
-    verify every support equation. The first failing point, together with
-    the equations that pinned its factors, forms the inconsistent set.
+    anchor), propagate single-unknown product equations to a fixpoint (a
+    pass keeps for the next only the equations left with two unknowns or
+    more; support values, and so the factors they define, are nonzero),
+    then verify every support equation in integer cross products. The first
+    failing point, together with the equations that pinned its factors,
+    forms the inconsistent set.
     """
     _require_window(f, window, True, "classify_all")
     u = f.arity
@@ -318,35 +324,33 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     known: dict[tuple[int, Point], Fraction] = dict.fromkeys(anchors, Fraction(1))
     defining: dict[tuple[int, Point], Point] = {}
 
-    changed = True
+    todo, changed = equations, True
     while changed:
-        changed = False
-        for pt, value, factors in equations:
-            unknown = [key for key in factors if key not in known]
-            if len(unknown) != 1:
-                continue
-            rest = constant
-            for key in factors:
-                if key != unknown[0]:
-                    rest *= known[key]
-            if rest == 0:
-                continue
-            known[unknown[0]] = value / rest
-            defining[unknown[0]] = pt
-            changed = True
-
-    stuck = [pt for pt, _, factors in equations if any(key not in known for key in factors)]
-    if stuck:
+        changed, scan, todo = False, todo, []
+        for eq in scan:
+            unknown = [key for key in eq[2] if key not in known]
+            if len(unknown) > 1:
+                todo.append(eq)
+            elif unknown:
+                rest = (known[key] for key in eq[2] if key != unknown[0])
+                known[unknown[0]] = eq[1] / math.prod(rest, start=constant)
+                defining[unknown[0]] = eq[0]
+                changed = True
+    if todo:
         raise RuntimeError(
             f"window {window} leaves the factor system underdetermined at "
-            f"{stuck[0]}; enlarge the window"
+            f"{todo[0][0]}; enlarge the window"
         )
 
+    cn, cd = constant.as_integer_ratio()
     for pt, value, factors in equations:
-        pred = constant
+        pn, pd = cn, cd
         for key in factors:
-            pred *= known[key]
-        if pred != value:
+            kn, kd = known[key].as_integer_ratio()
+            pn, pd = pn * kn, pd * kd
+        vn, vd = value.as_integer_ratio()
+        if pn * vd != vn * pd:
+            pred = Fraction(pn, pd)
             origin = "; ".join(
                 f"F_{p}{sig} = {known[(p, sig)]} pinned at {defining.get((p, sig), 'anchor')}"
                 for p, sig in factors

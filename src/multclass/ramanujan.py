@@ -140,19 +140,14 @@ class EvenFnProfile:
 def even_profile(f: ArithFn, r: int) -> EvenFnProfile:
     """Scan f on [1, 2r] for r-periodicity and r-evenness."""
     _check_int(r, "modulus")
-    periodic, per_witness = True, None
-    for n in range(1, r + 1):
-        if f(n) != f(n + r):
-            periodic, per_witness = False, (n, n + r, f(n), f(n + r))
-            break
-    even, even_witness = True, None
-    for n in range(1, 2 * r + 1):
-        m = math.gcd(n, r)
-        if f(n) != f(m):
-            even, even_witness = False, (n, m, f(n), f(m))
-            break
-    witness = per_witness if per_witness is not None else even_witness
-    return EvenFnProfile(r, periodic, even, witness)
+    # the first (n, comparison point) at which each check fails
+    periodic = next(((n, n + r) for n in range(1, r + 1) if f(n) != f(n + r)), None)
+    even = next(
+        ((n, math.gcd(n, r)) for n in range(1, 2 * r + 1) if f(n) != f(math.gcd(n, r))), None
+    )
+    bad = periodic or even
+    witness = None if bad is None else (*bad, f(bad[0]), f(bad[1]))
+    return EvenFnProfile(r, periodic is None, even is None, witness)
 
 
 def semimult_params_c(r: int) -> tuple[int, int]:

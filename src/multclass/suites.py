@@ -164,24 +164,19 @@ def suite_quasi_identities(window: int) -> SuiteResult:
     return SuiteResult("quasi-identities", window, checks)
 
 
+def _off(z: complex, exact: int) -> bool:
+    return abs(z.real - exact) > ORACLE_TOLERANCE or abs(z.imag) > ORACLE_TOLERANCE
+
+
 def suite_oracle_agreement(window: int) -> SuiteResult:
     """Divisor-sum values vs exponential sums, both families."""
+    families = (("c", rj.c, rj.c_oracle), ("c_bar", rj.c_bar, rj.c_bar_oracle))
     checks = []
     for r in range(1, window + 1):
-        bad = None
-        for n in range(1, window + 1):
-            z = rj.c_oracle(r, n)
-            if abs(z.real - rj.c(r, n)) > ORACLE_TOLERANCE or abs(z.imag) > ORACLE_TOLERANCE:
-                bad = ("c", n)
-                break
-            zb = rj.c_bar_oracle(r, n)
-            if (
-                abs(zb.real - rj.c_bar(r, n)) > ORACLE_TOLERANCE
-                or abs(zb.imag) > ORACLE_TOLERANCE
-            ):
-                bad = ("c_bar", n)
-                break
-        checks.append(Check(f"r={r}", bad is None, "" if bad is None else f"{bad[0]} at n={bad[1]}"))
+        # the first n, and at it the first family, where a part of the sum is off
+        bad = next((f"{label} at n={n}" for n in range(1, window + 1)
+                    for label, exact, oracle in families if _off(oracle(r, n), exact(r, n))), "")
+        checks.append(Check(f"r={r}", not bad, bad))
     return SuiteResult("oracle-agreement", window, checks)
 
 

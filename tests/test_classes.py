@@ -362,6 +362,17 @@ def member_spec(window, changes):
     return dict(window=window, C=1, a=1, columns=columns, tail=3, changes=changes)
 
 
+# C = -3/2 at a = 2, with F_5 = 0 so that f(2 * 5k) = 0
+FRACTIONAL_SHIFTED = dict(
+    window=60,
+    C=Fraction(-3, 2),
+    a=2,
+    columns={2: [Fraction(-2, 3), 3], 3: [Fraction(1, 2)], 5: [0], 7: [-1]},
+    tail=2,
+    changes={},
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(near_members())
 # f(1) != 1 makes the unit splits (1, N) of LAW_MULT instances of their own:
@@ -369,6 +380,10 @@ def member_spec(window, changes):
 @example(member_spec(30, {1: 0}))
 @example(member_spec(30, {1: 0, 2: 0, 3: 0}))
 @example(member_spec(30, {1: Fraction(1, 2)}))
+# a negative Fraction c = f(2), Fraction values and zeros inside the sweep:
+# consistent, and refuted at the changed f(2 * 6)
+@example(FRACTIONAL_SHIFTED)
+@example({**FRACTIONAL_SHIFTED, "changes": {12: 1}})
 def test_coprime_checkers_match_the_full_sweep(spec):
     f = build_near_member(**spec)
     got = [report_fields(r) for r in coprime_reports(f, spec["window"])]

@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from itertools import compress, product
 from unittest import mock
@@ -16,6 +17,7 @@ from multclass.arith import classical, scale
 from multclass.classes import (
     CONSISTENT,
     IDENTICALLY_ZERO,
+    LAWS,
     LAW_COVER,
     LAW_FORCED_SHIFT,
     LAW_MULT_U,
@@ -138,6 +140,16 @@ def test_counterexample_selberg_consistent():
     assert system.tables[2][(0, 0)] == 0
     assert system.predict((3, 5)) == 0
     assert system.predict((3, 4)) == 1
+
+
+def test_selberg_system_refuses_points_outside_its_window():
+    # at window 6 no column holds the prime 7, and the 2-column stops at 2^2
+    system = check_selberg_u(tensor(phi, phi), 6).system
+    assert system.predict((6, 5)) == phi(6) * phi(5)
+    with pytest.raises(ValueError, match=r"no F_7\(1, 0\), which \(7, 1\) needs"):
+        system.predict((7, 1))
+    with pytest.raises(ValueError, match=r"no F_2\(3, 0\), which \(8, 1\) needs"):
+        system.predict((8, 1))
 
 
 def test_classify_all_u_counterexample():
@@ -417,6 +429,26 @@ def flat_product(arity, window, C, exceptions=(), changes=None):
     return arity, window, C, (1,) * arity, columns, changes or {}
 
 
+def test_tuple_witness_sweep_skips_the_pairs_the_induction_proved(monkeypatch):
+    # the least failing point is (2, 3, 1), of product 6: a pair of smaller
+    # product splits a point before it, and the two splits per point that
+    # decided the law prove every split of those; the least pair that fails
+    # can still split a later point
+    f = build_product(*flat_product(3, 6, 2, changes={(2, 3, 1): 5}))
+    want = lexicographic_reports(f, 6)[2]
+    law, seen = LAWS[LAW_SHIFTED_U], []
+
+    def recording(f, m, n, *rest):
+        seen.append((m, n))
+        return law.evaluate(f, m, n, *rest)
+
+    monkeypatch.setitem(LAWS, LAW_SHIFTED_U, replace(law, evaluate=recording))
+    rep = check_semimultiplicative_u(f, 6)
+    assert rep.verdict == REFUTED
+    assert seen and all(math.prod(m) * math.prod(n) >= 6 for m, n in seen)
+    assert report_fields(rep) == report_fields(want)
+
+
 @settings(max_examples=150, deadline=None)
 @given(per_prime_products(largest={2: 10, 3: 10}))
 # f(1, 1) = 0 with support gcd (1, 1): refuted by LAW_FORCED_SHIFT, so c is None
@@ -605,6 +637,8 @@ def selberg_fields(check, f, window):
 @example(flat_product(2, 6, 1, changes={(2, 3): 0}))
 @example(flat_product(3, 5, 1, exceptions=(2,), changes={(2, 3, 2): 0}))
 @example(flat_product(2, 6, 1, changes={(2, 3): 5}))
+# a ratio refutation with a negative constant and a Fraction prediction
+@example(flat_product(2, 6, Fraction(-3, 2), changes={(2, 3): Fraction(-2, 3)}))
 def test_selberg_u_matches_the_dense_solver(spec):
     f = build_product(*spec)
     window = spec[1]
