@@ -6,9 +6,11 @@ products are computed over the divisor lattice with integer/Fraction
 arithmetic only. Every function memoizes its evaluation, at most
 MEMO_SIZE values each; the combinators call their inner functions' memos
 (_eval) without the argument check, as the library made every inner
-argument. The cache only skips recomputation and never changes a value, so
-sharing a function between threads is safe. Integer parameters are checked
-when a function is built.
+argument. reader(window) hands out a fresh unmemoized evaluator for one
+window's reads; a convolution's sieves its values up to the window, and
+the sieve lives in that reader, never on the function. The cache only
+skips recomputation and never changes a value, so sharing a function
+between threads is safe. Integer parameters are checked when built.
 """
 
 from __future__ import annotations
@@ -58,8 +60,60 @@ class ArithFn:
             raise ValueError(f"{self.name} is defined on positive integers, got {n!r}")
         return self._eval(n)
 
+    def reader(self, window: int) -> Callable[[int], Rational]:
+        """A fresh evaluator for one window's reads, with no memo and no
+        argument check: f itself for every function but a convolution."""
+        return self._eval.__wrapped__
+
     def __repr__(self) -> str:
         return f"ArithFn({self.name})"
+
+
+class _Convolution(ArithFn):
+    """n -> sum of f(d) g(n/d) over the divisors d of n, all of them or,
+    when unitary, those with gcd(d, n/d) = 1."""
+
+    __slots__ = ("_parts",)
+
+    def __init__(self, f: ArithFn, g: ArithFn, unitary: bool):
+        divisors = lambda n: nt.unitary_divisors(n) if unitary else nt.divisors(n)
+        conv = lambda n: sum(f._eval(d) * g._eval(n // d) for d in divisors(n))
+        super().__init__(f"{'unitary' if unitary else 'dirichlet'}({f.name},{g.name})", conv)
+        self._parts = f, g, unitary
+
+    def reader(self, window: int) -> Callable[[int], Rational]:
+        """Values up to the window from a divisor sieve H, which a read of n
+        past its end grows to min(window, 2n) by adding each f(d) g(k), zero
+        ones too (so values keep the per-point sum's type), with d k in the
+        new range, once. Reads past the window go point by point."""
+        f, g, unitary = self._parts
+        rf, rg, point = f.reader(window), g.reader(window), self._eval.__wrapped__
+        F, G, H = [0], [0], [0]  # index 0 unused
+
+        def add_row(x: int, X: list, Y: list, ys: range) -> None:
+            # H[x y] += X[x] Y[y] along one row of the pairs
+            v, at = X[x], slice(x * ys.start, x * ys.stop, x)
+            H[at] = [h + v * Y[y] if not unitary or math.gcd(x, y) == 1 else h
+                     for h, y in zip(H[at], ys)]
+
+        def read(n: int) -> Rational:
+            if n > window:
+                return point(n)
+            end = len(H) - 1
+            if n > end:
+                top = min(window, 2 * n)
+                new = range(end + 1, top + 1)
+                F.extend(map(rf, new))
+                G.extend(map(rg, new))
+                H.extend([0] * len(new))
+                root = math.isqrt(top)  # rows by d up to the root, the rest by k
+                for d in range(1, root + 1):
+                    add_row(d, F, G, range(end // d + 1, top // d + 1))
+                for k in range(1, top // (root + 1) + 1):
+                    add_row(k, G, F, range(max(root, end // k) + 1, top // k + 1))
+            return H[n]
+
+        return read
 
 
 def _mobius_eval(n: int) -> int:
@@ -99,20 +153,12 @@ def eta(k: int) -> ArithFn:
 
 def dirichlet(f: ArithFn, g: ArithFn) -> ArithFn:
     """Dirichlet convolution: n -> sum of f(d) g(n/d) over divisors d of n."""
-
-    def conv(n: int) -> Rational:
-        return sum(f._eval(d) * g._eval(n // d) for d in nt.divisors(n))
-
-    return ArithFn(f"dirichlet({f.name},{g.name})", conv)
+    return _Convolution(f, g, False)
 
 
 def unitary(f: ArithFn, g: ArithFn) -> ArithFn:
     """Unitary convolution: the divisor sum restricted to gcd(d, n/d) = 1."""
-
-    def conv(n: int) -> Rational:
-        return sum(f._eval(d) * g._eval(n // d) for d in nt.unitary_divisors(n))
-
-    return ArithFn(f"unitary({f.name},{g.name})", conv)
+    return _Convolution(f, g, True)
 
 
 def pointwise_product(f: ArithFn, g: ArithFn) -> ArithFn:

@@ -352,12 +352,13 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
-    is evaluated once and kept. Values read once are kept nowhere but read
-    through past, for an ArithFn the function under its memo, for a
-    MultiArithFn its memo (every point is the checkers' own, so none needs
-    the argument check), else f: an argument past the window, such as a
-    Rearick product, and the window values that _least_sweep keeps in its
-    own table or that the support law reads off the multiples of a.
+    is evaluated once and kept. Values read once, kept nowhere, are read
+    through past: f's fresh reader for the window (arith), which sieves a
+    convolution's window values, for an ArithFn; the memo of a MultiArithFn
+    (every point is the checkers' own, so none needs the argument check);
+    else f. Such are the arguments past the window, as a Rearick product,
+    and the window values that _least_sweep keeps in its own table or that
+    the support law reads off the multiples of a.
 
     For a function with an arity, 1 included, points are tuples and the
     window is the corner (W, ..., W) of the window box. Tuples compare
@@ -366,7 +367,7 @@ class _WindowValues(dict):
     def __init__(self, f: Callable, window: int):
         super().__init__()
         self.f, self.window = f, (window,) * f.arity if hasattr(f, "arity") else window
-        self.past = f._eval.__wrapped__ if isinstance(f, ArithFn) else getattr(f, "_eval", f)
+        self.past = f.reader(window) if isinstance(f, ArithFn) else getattr(f, "_eval", f)
 
     def __missing__(self, n: AnyPoint) -> Rational:
         if n > self.window:
@@ -513,14 +514,7 @@ def _like(pt: AnyPoint, coords: Sequence[int]) -> AnyPoint:
 
 def _signature(p: int, coords: Sequence[int]) -> tuple[int, ...]:
     """The exponent of p in each coordinate; p is a known prime, not retested."""
-    out = []
-    for x in coords:
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        out.append(e)
-    return tuple(out)
+    return tuple(nt._nu(p, x) for x in coords)
 
 
 @dataclass(eq=False)
@@ -539,9 +533,8 @@ class SelbergFactorization:
     source: Callable
 
     def factor(self, p: int, e: AnyPoint) -> Fraction:
-        col = self.tables.get(p)
-        if col is not None and e in col:
-            return col[e]
+        if e in self.tables.get(p, ()):
+            return self.tables[p][e]
         probe = []
         for ai, ei in zip(_coords(self.a), _coords(e)):
             na = nt.nu(p, ai)
@@ -551,9 +544,13 @@ class SelbergFactorization:
         return Fraction(self.source(_like(self.a, probe))) / Fraction(self.constant)
 
     def reconstruct(self, pt: AnyPoint) -> Fraction:
-        """constant * product of F_p(nu_p(pt)) over the relevant primes."""
+        """constant * product of F_p(nu_p(pt)) over the primes of pt: 0, and
+        no factor read, when a does not divide pt componentwise, as some
+        F_p(e) with e_i < nu_p(a_i) is 0; else a's primes are among pt's."""
         coords = _coords(pt)
-        ps = {p for x in coords + _coords(self.a) for p, _ in nt.factorize(x)}
+        if any(x % ai for x, ai in zip(coords, _coords(self.a))):
+            return Fraction(0)
+        ps = {p for x in coords for p, _ in nt.factorize(x)}
         val = Fraction(self.constant)
         for p in sorted(ps):
             val *= self.factor(p, _like(pt, _signature(p, coords)))
@@ -605,26 +602,28 @@ def extract_selberg(
     return SelbergFactorization(rep.c, a, tables, f)
 
 
+def _classify(f: Callable, window: int, semi: ClassReport, laws: tuple, multi: tuple = ()) -> dict:
+    """The four rows of f in any arity around semi, its semimultiplicative
+    report. The quasimultiplicative and multiplicative rows (laws) are read
+    off f(unit) and semi (_coprime_row). A consistent semi's factor system
+    goes, in one variable, on the Selberg row, there semi's own; with an
+    arity, on semi, and multi = (extract, check_selberg) decides the row."""
+    quasi, mult = (
+        _coprime_row(klass, law, f, window, lambda f, w: semi)
+        for klass, law in zip((QUASIMULTIPLICATIVE, MULTIPLICATIVE), laws)
+    )
+    extract, check_selberg = multi or (extract_selberg, None)
+    fac = extract(f, window, report=semi) if semi.verdict == CONSISTENT else None
+    if check_selberg is None:
+        selberg = replace(semi, klass=SELBERG, selberg=fac)
+    else:
+        semi.factorization, selberg = fac, check_selberg(f, window)
+    return {MULTIPLICATIVE: mult, QUASIMULTIPLICATIVE: quasi,
+            SEMIMULTIPLICATIVE: semi, SELBERG: selberg}
+
+
 def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
-    """All four class checks for one function.
-
-    The multiplicative and quasimultiplicative rows are read off f(1) and,
-    at the shift a = 1, off the semimultiplicative report (_coprime_row).
-
-    In one variable the Selberg class coincides with the semimultiplicative
-    class, so the selberg report carries the semimultiplicative verdict plus
-    the extracted factor system when consistent.
-    """
+    """All four class checks for one function (_classify): the selberg row
+    is the semimultiplicative one, with its factor system when consistent."""
     _require_window(f, window, False, "classify_all_u")
-    semi = check_semimultiplicative(f, window)
-    quasi = _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI, f, window, lambda f, w: semi)
-    mult = _coprime_row(MULTIPLICATIVE, LAW_MULT, f, window, lambda f, w: semi)
-    selberg = replace(semi, klass=SELBERG)
-    if semi.verdict == CONSISTENT:
-        selberg.selberg = extract_selberg(f, window, report=semi)
-    return {
-        MULTIPLICATIVE: mult,
-        QUASIMULTIPLICATIVE: quasi,
-        SEMIMULTIPLICATIVE: semi,
-        SELBERG: selberg,
-    }
+    return _classify(f, window, check_semimultiplicative(f, window), (LAW_QUASI, LAW_MULT))

@@ -89,9 +89,7 @@ _LEAVES = {
     "mu_bar": (rj.mu_bar_fn, "r"),
     "g": (rj.g_fn, "r"),
     "eta": (eta, "k"),
-    "r2": (lambda: sum_of_squares(2), None),
-    "r4": (lambda: sum_of_squares(4), None),
-    "r8": (lambda: sum_of_squares(8), None),
+    **{f"r{s}": (lambda s=s: sum_of_squares(s), None) for s in (2, 4, 8)},
     "selberg-not-semi": (selberg_not_semimultiplicative, None),
     "c-two-var": (rj.c_two_var, None),
     "c-bar-two-var": (rj.c_bar_two_var, None),

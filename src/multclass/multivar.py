@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import floordiv
 from typing import Callable, Iterator, Optional, Sequence
 
 from . import numtheory as nt
@@ -64,6 +65,7 @@ from .classes import (
     SelbergFactorization,
     Witness,
     _WindowValues,
+    _classify,
     _coprime_row,
     _least_sweep,
     _pmul,
@@ -114,28 +116,15 @@ def tensor(*fns: ArithFn) -> MultiArithFn:
     if not fns:
         raise ValueError("tensor needs at least one factor")
     name = "tensor(" + ",".join(f.name for f in fns) + ")"
-
-    def ev(pt: Point) -> Rational:
-        out: Rational = 1
-        for f, x in zip(fns, pt):
-            out = out * f._eval(x)
-        return out
-
-    return MultiArithFn(name, len(fns), ev)
+    return MultiArithFn(name, len(fns), lambda pt: math.prod(f._eval(x) for f, x in zip(fns, pt)))
 
 
 def dirichlet_u(f: MultiArithFn, g: MultiArithFn) -> MultiArithFn:
     """Componentwise-divisor convolution of two functions of equal arity."""
     if f.arity != g.arity:
         raise ValueError("convolution needs equal arities")
-
-    def ev(pt: Point) -> Rational:
-        total: Rational = 0
-        for dvec in itertools.product(*(nt.divisors(x) for x in pt)):
-            qvec = tuple(x // d for x, d in zip(pt, dvec))
-            total += f._eval(dvec) * g._eval(qvec)
-        return total
-
+    divisor_box = lambda pt: itertools.product(*map(nt.divisors, pt))
+    ev = lambda pt: sum(f._eval(d) * g._eval(tuple(map(floordiv, pt, d))) for d in divisor_box(pt))
     return MultiArithFn(f"dirichlet({f.name},{g.name})", f.arity, ev)
 
 
@@ -154,10 +143,6 @@ def _points(window: int, u: int) -> Iterator[Point]:
     return itertools.product(range(1, window + 1), repeat=u)
 
 
-# one object per entry (p, signature), shared by the cached rows that hold it
-_entry = lru_cache(maxsize=MEMO_SIZE)(lambda p, sig: (p, sig))
-
-
 @lru_cache(maxsize=MEMO_SIZE)
 def _row(pt: Point) -> tuple[tuple[int, Point], ...]:
     """(p, _signature(p, pt)) for each prime p of the product of pt's
@@ -166,7 +151,7 @@ def _row(pt: Point) -> tuple[tuple[int, Point], ...]:
     for i, x in enumerate(pt):
         for p, e in nt._walk(x):
             exps.setdefault(p, [0] * len(pt))[i] = e
-    return tuple(_entry(p, tuple(exps[p])) for p in sorted(exps))
+    return tuple(nt._pair(p, tuple(exps[p])) for p in sorted(exps))
 
 
 def _coprime_tuple_pairs(caps: Sequence[int], least: int = 1) -> Iterator[tuple[Point, Point]]:
@@ -419,56 +404,33 @@ def check_two_variable_theorem(f: MultiArithFn, window: int) -> TwoVariableRepor
     if f.arity != 2:
         raise ValueError("the two-variable theorem needs an arity-2 function")
 
-    even_witness = None
-    for r, n in itertools.product(range(1, window + 1), repeat=2):
-        lhs, rhs = f((n, r)), f((math.gcd(n, r), r))
-        if lhs != rhs:
-            even_witness = (r, n, lhs, rhs)
-            break
-
-    mult_witness = None
-    for n in range(1, window + 1):
-        inner = ArithFn(f"{f.name}@{n}", lambda r, _n=n: f._eval((_n, r)))
-        w = check_multiplicative(inner, window).witness
-        if w is not None:
-            mult_witness = (n, w.m, w.n, w.lhs, w.rhs)
-            break
+    # each hypothesis's first failure, in order
+    axis = range(1, window + 1)
+    even = ((r, n, f((n, r)), f((math.gcd(n, r), r))) for r in axis for n in axis)
+    even_witness = next((w for w in even if w[2] != w[3]), None)
+    inner = lambda n: ArithFn(f"{f.name}@{n}", lambda r: f._eval((n, r)))
+    mults = ((n, check_multiplicative(inner(n), window).witness) for n in axis)
+    mult_witness = next(((n, w.m, w.n, w.lhs, w.rhs) for n, w in mults if w is not None), None)
 
     conclusion = check_multiplicative_u(f, window)
 
     chain_witness = None
-    b = min(window, 8)  # the chain samples quadruples in [1, 8]^4
-    for m, r, n, s in itertools.product(range(1, b + 1), repeat=4):
-        if math.gcd(m * r, n * s) != 1:
-            continue
-        v1 = f((m * n, r * s))
-        v2 = f((m * n, r)) * f((m * n, s))
-        v3 = f((math.gcd(m * n, r), r)) * f((math.gcd(m * n, s), s))
-        v4 = f((math.gcd(m, r), r)) * f((math.gcd(n, s), s))
-        v5 = f((m, r)) * f((n, s))
-        steps = (v1, v2, v3, v4, v5)
-        if any(steps[i] != steps[i + 1] for i in range(4)):
-            chain_witness = (m, r, n, s, steps)
-            break
+    # the chain samples coprime quadruples in [1, 8]^4
+    for m, r, n, s in itertools.product(range(1, min(window, 8) + 1), repeat=4):
+        if math.gcd(m * r, n * s) == 1:
+            mn, g = m * n, math.gcd
+            steps = (f((mn, r * s)), f((mn, r)) * f((mn, s)), f((g(mn, r), r)) * f((g(mn, s), s)),
+                     f((g(m, r), r)) * f((g(n, s), s)), f((m, r)) * f((n, s)))
+            if len(set(steps)) > 1:
+                chain_witness = (m, r, n, s, steps)
+                break
 
     return TwoVariableReport(window, even_witness, mult_witness, conclusion, chain_witness)
 
 
 def classify_all_u(f: MultiArithFn, window: int) -> dict[str, ClassReport]:
-    """All four multivariable class checks for one function.
-
-    The multiplicative and quasimultiplicative rows are read off
-    f(1, ..., 1) and, at the shift (1, ..., 1), off the semimultiplicative
-    report (classes._coprime_row)."""
+    """All four multivariable class checks for one function (classes._classify)."""
     _require_window(f, window, True, "classify_all")
     semi = check_semimultiplicative_u(f, window)
-    quasi = _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI_U, f, window, lambda f, w: semi)
-    mult = _coprime_row(MULTIPLICATIVE, LAW_MULT_U, f, window, lambda f, w: semi)
-    if semi.verdict == CONSISTENT:
-        semi.factorization = extract_selberg_u(f, window, report=semi)
-    return {
-        MULTIPLICATIVE: mult,
-        QUASIMULTIPLICATIVE: quasi,
-        SEMIMULTIPLICATIVE: semi,
-        SELBERG: check_selberg_u(f, window),
-    }
+    multi = (extract_selberg_u, check_selberg_u)
+    return _classify(f, window, semi, (LAW_QUASI_U, LAW_MULT_U), multi)

@@ -4,11 +4,13 @@ Table-backed factorization, p-adic valuations, divisor structure, and the
 regular-residue test. Everything runs on plain Python ints, so nothing
 overflows, and nothing in this module touches floating point.
 
-All functions are pure. The smallest-prime-factor table grows on demand,
-never past the sieve bound, and each growth is published whole: the table
-and its prime list are rebound together as one value. A concurrent caller
-therefore only ever reads a table with its own prime list, so concurrent
-callers are safe; results never depend on call order.
+All functions are pure. The smallest-prime-factor table, two bytes an
+entry, grows on demand, never past the sieve bound, and each growth is
+published whole: the table and its prime list are rebound together as one
+value. A concurrent caller therefore only ever reads a table with its own
+prime list, so concurrent callers are safe; results never depend on call
+order. Cached factorizations share their (p, e) pairs through one bounded
+cache.
 
 The module loads no other multclass module and, beyond `array`, only
 standard-library modules the interpreter loads at start-up (no dataclasses,
@@ -21,8 +23,8 @@ import os
 from array import array
 from collections.abc import Iterator
 from functools import lru_cache
-from itertools import compress, islice
-from operator import eq
+from itertools import compress, islice, starmap
+from operator import not_
 
 DEFAULT_SIEVE_BOUND = 10**6
 SIEVE_BOUND_ENV = "MULTCLASS_SIEVE_BOUND"
@@ -33,9 +35,9 @@ class SieveBoundError(ValueError):
 
 
 _sieve_bound: int | None = None
-# The smallest-prime-factor table t (t[k] is the least prime of k, t[0] = 0,
-# t[1] = 1) and its primes, ascending, once listed.
-_EMPTY: tuple[array, array | None] = (array("I", [0, 1]), None)
+# The smallest-prime-factor table t (t[k] is the least prime of a composite
+# k, else 0) and its primes, ascending, once listed.
+_EMPTY: tuple[array, array | None] = (array("H", [0, 0]), None)
 _table = _EMPTY
 
 
@@ -52,16 +54,19 @@ def _check_int(x: int, what: str, least: int | None = 1) -> None:
 
 
 def _sieve(size: int) -> array:
-    """The smallest-prime-factor table of 0..size."""
-    t = array("I", range(size + 1))
+    """The smallest-prime-factor table of 0..size: the least prime of each
+    composite, 0 at 0, 1 and the primes. A composite's least prime is at
+    most isqrt(size), so two bytes an entry hold it below 2**32 entries."""
+    code = "H" if size < 1 << 32 else "I"
+    t = array(code, [0]) * (size + 1)
     if size < 4:
         return t
     root = math.isqrt(size)
     small = _sieve(root)
     # descending, so each entry ends with the smallest prime written to it
     for p in range(root, 1, -1):
-        if small[p] == p:
-            t[p * p :: p] = array("I", [p]) * len(range(p * p, size + 1, p))
+        if not small[p]:
+            t[p * p :: p] = array(code, [p]) * len(range(p * p, size + 1, p))
     return t
 
 
@@ -93,8 +98,7 @@ def _table_primes(n: int) -> array:
     t = _spf_upto(n)
     held, primes = _table
     if held is not t or primes is None:
-        ks = range(2, len(t))
-        primes = array("I", compress(ks, map(eq, islice(t, 2, None), ks)))
+        primes = array("I", compress(range(2, len(t)), map(not_, islice(t, 2, None))))
         _table = (t, primes)
     return primes
 
@@ -180,10 +184,7 @@ class Factorization:
         return f"Factorization(pairs={self.pairs!r})"
 
     def value(self) -> int:
-        out = 1
-        for p, e in self.pairs:
-            out *= p**e
-        return out
+        return math.prod(p**e for p, e in self.pairs)
 
     def __iter__(self):
         return iter(self.pairs)
@@ -228,19 +229,24 @@ def _walk(n: int) -> Iterator[tuple[int, int]]:
                 return
         t = _spf_upto(m)
     while m > 1:
-        p = t[m]
+        p = t[m] or m
         m //= p
         e = 1
-        while t[m] == p:
+        while m % p == 0:
             m //= p
             e += 1
         yield p, e
 
 
+# one tuple per pair (p, e) or (p, signature), shared by the cached
+# factorizations and multivariable rows that hold it
+_pair = lru_cache(maxsize=1 << 12)(lambda p, x: (p, x))
+
+
 @lru_cache(maxsize=1 << 14)
 def factorize(n: int) -> Factorization:
-    """Factor n >= 1 by walking the smallest-prime-factor table (_walk)."""
-    return Factorization(tuple(_walk(n)))
+    """Factor n >= 1 by walking the smallest-prime-factor table (_walk), sharing pairs."""
+    return Factorization(tuple(starmap(_pair, _walk(n))))
 
 
 def least_prime_power(n: int) -> int:
@@ -250,13 +256,19 @@ def least_prime_power(n: int) -> int:
     if not (isinstance(n, int) and 1 < n < len(t)):
         p, e = next(_walk(n), (1, 0))
         return p**e
-    p = t[n]
-    q = p
-    n //= p
-    while n % p == 0:
-        n //= p
+    p = q = t[n] or n
+    while n % (q * p) == 0:
         q *= p
     return q
+
+
+def _nu(p: int, n: int) -> int:
+    """The exponent of p > 1 in n >= 1 by plain division, unchecked."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
 
 
 def nu(p: int, n: int) -> int:
@@ -265,19 +277,12 @@ def nu(p: int, n: int) -> int:
     if not is_prime(p):
         raise ValueError(f"nu requires a prime first argument, got {p}")
     _check_int(n, "n")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
+    return _nu(p, n)
 
 
 def radical(n: int) -> int:
     """Product of the distinct primes dividing n; radical(1) = 1."""
-    out = 1
-    for p, _ in _walk(n):
-        out *= p
-    return out
+    return math.prod(p for p, _ in _walk(n))
 
 
 def omega(n: int) -> int:

@@ -46,20 +46,22 @@ def c(r: int, n: int) -> int:
 
 
 @lru_cache(maxsize=512)
-def _roots(r: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(complex(0.0, _TWO_PI * k / r)) for k in range(r))
+def _residues(r: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """The r-th roots of unity, the invertible residues and the regular ones."""
+    roots = tuple(cmath.exp(complex(0.0, _TWO_PI * k / r)) for k in range(r))
+    coprime = tuple(a for a in range(1, r + 1) if math.gcd(a, r) == 1)
+    return roots, coprime, tuple(nt.regular_residues(r))
 
 
-@lru_cache(maxsize=512)
-def _coprime_residues(r: int) -> tuple[int, ...]:
-    return tuple(a for a in range(1, r + 1) if math.gcd(a, r) == 1)
+def _exp_sum(r: int, n: int, regular: bool) -> complex:
+    _check_int(r, "modulus")
+    roots, *sets = _residues(r)
+    return sum(roots[(a * n) % r] for a in sets[regular])
 
 
 def c_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_r(n) over the invertible residues."""
-    _check_int(r, "modulus")
-    roots = _roots(r)
-    return sum(roots[(a * n) % r] for a in _coprime_residues(r))
+    return _exp_sum(r, n, False)
 
 
 def g(r: int, n: int) -> int:
@@ -80,10 +82,7 @@ def mu_bar(r: int, n: int) -> int:
     _check_int(r, "modulus")
     out = 1
     for p, j in nt._walk(n):
-        a = 0
-        while r % p == 0:  # p is a prime of n, so nu_p(r) by plain division
-            r //= p
-            a += 1
+        a = nt._nu(p, r)  # p is a prime of n, so nu_p(r) by plain division
         v = 1 if a >= 2 and j == a else -1 if j == a + 1 or (a >= 2 and j == 1) else 0
         if v == 0:
             return 0
@@ -110,16 +109,9 @@ def c_bar(r: int, n: int) -> int:
     return _c_bar_at(r, _gcd_level(r, n))
 
 
-@lru_cache(maxsize=512)
-def _regular(r: int) -> tuple[int, ...]:
-    return tuple(nt.regular_residues(r))
-
-
 def c_bar_oracle(r: int, n: int) -> complex:
     """Exponential-sum form of c_bar_r(n) over the regular residues."""
-    _check_int(r, "modulus")
-    roots = _roots(r)
-    return sum(roots[(a * n) % r] for a in _regular(r))
+    return _exp_sum(r, n, True)
 
 
 @dataclass(frozen=True)

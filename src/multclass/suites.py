@@ -202,13 +202,11 @@ def suite_two_variable_theorem(window: int) -> SuiteResult:
                 f"twovar={rep.conclusion.verdict} chain={rep.chain_ok}",
             )
         )
-    bad = None
-    for r in range(1, window + 1):
-        formula = math.prod(nt.euler_phi(p**k) + 1 for p, k in nt.factorize(r))
-        if not (_regular_count_brute(r) == len(nt.regular_residues(r)) == formula):
-            bad = r
-            break
-    checks.append(Check("regular-count", bad is None, "" if bad is None else f"fails at r={bad}"))
+    # brute force and the totient formula against the count of regular residues
+    formula = lambda r: math.prod(nt.euler_phi(p**k) + 1 for p, k in nt.factorize(r))
+    counts = lambda r: (_regular_count_brute(r), formula(r))
+    regular = lambda r: (len(nt.regular_residues(r)),) * 2
+    checks.append(_agree("regular-count", counts, regular, range(1, window + 1), at="fails at r="))
     return SuiteResult("two-variable-theorem", window, checks)
 
 

@@ -1,8 +1,9 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multclass import arith
@@ -200,3 +201,67 @@ def test_names_are_stable():
     assert sum_of_squares(2).name == "r2"
     assert dirichlet(mobius, one).name == "dirichlet(mobius,one)"
     assert compose(phi, "gcd_k", 12).name == "gcdk:12(phi)"
+
+
+# convolution specs over the CLI leaves, with fractional scales and the
+# zero-heavy eta:k and noverk:k(...) among their operands
+_LEAVES = st.one_of(
+    st.sampled_from(["phi", "mobius", "one", "identity"]),
+    st.builds("{}:{}".format, st.sampled_from(["c", "c_bar", "mu_bar", "eta", "g"]),
+              st.integers(1, 48)),
+)
+
+
+def _unary_or_binary(inner):
+    return st.one_of(
+        st.builds("scale:{}({})".format, st.sampled_from(["2", "-1", "1/2", "3/2", "-2/3"]), inner),
+        st.builds("{}:{}({})".format, st.sampled_from(["noverk", "kovern", "dilate", "gcdk", "lcmk"]),
+                  st.integers(1, 6), inner),
+        st.builds("{}({},{})".format, st.sampled_from(["dirichlet", "unitary", "product"]),
+                  inner, inner),
+    )
+
+
+_OPERANDS = st.recursive(_LEAVES, _unary_or_binary, max_leaves=4)
+_CONVOLUTIONS = st.builds("{}({},{})".format, st.sampled_from(["dirichlet", "unitary"]),
+                          _OPERANDS, _OPERANDS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_CONVOLUTIONS, st.integers(1, 300), st.randoms(use_true_random=False))
+@example("dirichlet(noverk:2(phi),scale:1/2(phi))", 300, random.Random(0))
+def test_convolution_window_reads_equal_the_per_point_values(spec, window, rng):
+    from multclass.classes import _WindowValues
+    from multclass.cli import parse_fn_spec
+
+    f = parse_fn_spec(spec)
+    values = _WindowValues(f, window)
+    points = list(range(1, window + 3))
+    rng.shuffle(points)
+    for n in points:
+        got, want = values.past(n), f._eval.__wrapped__(n)
+        assert (got, type(got)) == (want, type(want)), (spec, n)
+        got = values[n]
+        assert (got, type(got)) == (want, type(want)), (spec, n)
+
+
+def test_a_convolution_sweep_reads_its_window_off_the_sieve(monkeypatch):
+    from multclass.classes import check_semimultiplicative
+
+    calls = []
+    divisors = nt.divisors
+    monkeypatch.setattr(nt, "divisors", lambda n: calls.append(n) or divisors(n))
+    assert check_semimultiplicative(dirichlet(mobius, phi), 512).consistent
+    # only the least-support read of f(1) goes point by point
+    assert calls == [1]
+
+
+def test_an_early_refutation_reads_a_convolution_to_twice_its_point():
+    from multclass.classes import REFUTED, classify_all
+
+    seen = []
+    g = ArithFn("g", lambda n: seen.append(n) or (5 if n == 6 else mobius(n)))
+    reports = classify_all(dirichlet(one, g), 4096)
+    assert {r.verdict for r in reports.values()} == {REFUTED}
+    assert reports["semimultiplicative"].witness.n == 3
+    assert max(seen) <= 12

@@ -221,6 +221,19 @@ def test_reconstruction_matches_on_window():
             assert fac.reconstruct(n) == f(n), (f.name, n)
 
 
+def test_reconstruction_reads_nothing_past_the_window():
+    # off the multiples of a, some F_p(e) with e < nu_p(a) is 0, so no other
+    # factor is needed; c_12 has a = 2, and 49 once made f be read at 98
+    window, inner, seen = 64, c_fn(12), []
+    f = ArithFn("recorded", lambda n: seen.append(n) or inner(n))
+    fac = extract_selberg(f, window)
+    seen.clear()
+    for n in range(1, window + 1):
+        assert fac.reconstruct(n) == inner(n), n
+    assert max(seen, default=0) <= window
+    assert fac.reconstruct(49) == 0 and type(fac.reconstruct(49)) is Fraction
+
+
 def test_factor_probes_beyond_window():
     # a = 2: reconstructing 4 * 25 needs F_5(2), first probed at 50 > 16
     fac = extract_selberg(c_fn(4), 16)

@@ -330,3 +330,30 @@ def test_table_is_built_at_the_bound_once_twice_n_reaches_three_quarters(monkeyp
         assert [s for s in sizes if s >= 1 << 12] == [10_000, 74_998, 100_000, 100_000, 2**19]
     finally:
         nt.set_sieve_bound(old)
+
+
+def test_two_byte_table_agrees_with_trial_division_across_two_to_the_sixteen():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(200_000)
+        t = nt._sieve(200_000)
+        assert t.itemsize == 2
+        for k in range(2, 200_001, 97):
+            least = _trial_division(k)[0][0]
+            assert t[k] == (0 if least == k else least), k
+        for k in range(65_000, 66_100):
+            least = _trial_division(k)[0][0]
+            assert t[k] == (0 if least == k else least), k
+        assert nt.factorize(2 * 65537).pairs == ((2, 1), (65537, 1))
+        assert nt.least_prime_power(65537) == 65537
+        assert nt.least_prime_power(3**10 * 65537) == 3**10
+        primes = [k for k in range(65_500, 65_601) if _trial_division(k) == ((k, 1),)]
+        assert nt.primes_up_to(65_600)[-3:] == primes[-3:]
+    finally:
+        nt.set_sieve_bound(old)
+
+
+def test_cached_factorizations_share_their_pairs():
+    nt.factorize.cache_clear()
+    assert nt.factorize(12).pairs[0] is nt.factorize(20).pairs[0]
+    assert nt.factorize(20).pairs == ((2, 2), (5, 1))
