@@ -6,11 +6,13 @@ products are computed over the divisor lattice with integer/Fraction
 arithmetic only. Every function memoizes its evaluation, at most
 MEMO_SIZE values each; the combinators call their inner functions' memos
 (_eval) without the argument check, as the library made every inner
-argument. reader(window) hands out a fresh unmemoized evaluator for one
-window's reads; a convolution's sieves its values up to the window, and
-the sieve lives in that reader, never on the function. The cache only
-skips recomputation and never changes a value, so sharing a function
-between threads is safe. Integer parameters are checked when built.
+argument. reader(window) hands out a fresh evaluator for one window's
+reads with no memo at any level: a combinator's (_Op: scale, product, the
+compositions, the convolutions) applies its rule to its operands' readers,
+and a convolution's sieves its values up to the window, in that reader,
+never on the function. The cache only skips recomputation and never
+changes a value, so sharing a function between threads is safe. Integer
+parameters are checked when built.
 """
 
 from __future__ import annotations
@@ -23,15 +25,6 @@ from typing import Callable, Union
 from . import numtheory as nt
 
 Rational = Union[int, Fraction]
-
-COMPOSE_KINDS = ("dilate_kn", "k_over_n", "n_over_k", "gcd_k", "lcm_k")
-_COMPOSE_TOKEN = {
-    "dilate_kn": "dilate",
-    "k_over_n": "kovern",
-    "n_over_k": "noverk",
-    "gcd_k": "gcdk",
-    "lcm_k": "lcmk",
-}
 
 
 def format_rational(v: Rational) -> str:
@@ -62,39 +55,57 @@ class ArithFn:
 
     def reader(self, window: int) -> Callable[[int], Rational]:
         """A fresh evaluator for one window's reads, with no memo and no
-        argument check: f itself for every function but a convolution."""
+        argument check: the plain evaluator for a function of no operand."""
         return self._eval.__wrapped__
 
     def __repr__(self) -> str:
         return f"ArithFn({self.name})"
 
 
-class _Convolution(ArithFn):
-    """n -> sum of f(d) g(n/d) over the divisors d of n, all of them or,
-    when unitary, those with gcd(d, n/d) = 1."""
+class _Op(ArithFn):
+    """A function built by rule from operand functions: rule(*evaluators)
+    is its evaluator, over the operands' memos under its own memo and over
+    their readers in reader(window), so a window's reads meet no memo."""
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_rule", "_parts")
+
+    def __init__(self, name: str, rule: Callable, *parts: ArithFn):
+        super().__init__(name, rule(*(g._eval for g in parts)))
+        self._rule, self._parts = rule, parts
+
+    def reader(self, window: int) -> Callable[[int], Rational]:
+        return self._rule(*(g.reader(window) for g in self._parts))
+
+
+class _Convolution(_Op):
+    """n -> sum of f(d) g(n/d) over the divisors d of n, or its unitary ones (d, n/d coprime)."""
+
+    __slots__ = ("_unitary",)
 
     def __init__(self, f: ArithFn, g: ArithFn, unitary: bool):
-        divisors = lambda n: nt.unitary_divisors(n) if unitary else nt.divisors(n)
-        conv = lambda n: sum(f._eval(d) * g._eval(n // d) for d in divisors(n))
-        super().__init__(f"{'unitary' if unitary else 'dirichlet'}({f.name},{g.name})", conv)
-        self._parts = f, g, unitary
+        divisors = nt.unitary_divisors if unitary else nt.divisors
+        rule = lambda fe, ge: lambda n: sum(fe(d) * ge(n // d) for d in divisors(n))
+        super().__init__(f"{'unitary' if unitary else 'dirichlet'}({f.name},{g.name})", rule, f, g)
+        self._unitary = unitary
 
     def reader(self, window: int) -> Callable[[int], Rational]:
         """Values up to the window from a divisor sieve H, which a read of n
-        past its end grows to min(window, 2n) by adding each f(d) g(k), zero
-        ones too (so values keep the per-point sum's type), with d k in the
-        new range, once. Reads past the window go point by point."""
-        f, g, unitary = self._parts
-        rf, rg, point = f.reader(window), g.reader(window), self._eval.__wrapped__
+        past its end grows to min(window, 2n) by adding each f(d) g(k) with
+        d k in the new range, once: a zero term adds nothing but its type,
+        so values keep the per-point sum's. Reads past the window go point
+        by point, through the operands' memos."""
+        (f, g), unitary, point = self._parts, self._unitary, self._eval.__wrapped__
+        rf, rg = f.reader(window), g.reader(window)
         F, G, H = [0], [0], [0]  # index 0 unused
 
         def add_row(x: int, X: list, Y: list, ys: range) -> None:
-            # H[x y] += X[x] Y[y] along one row of the pairs
+            # H[x y] += X[x] Y[y] along one row of the pairs; a zero term only passes its type
             v, at = X[x], slice(x * ys.start, x * ys.stop, x)
-            H[at] = [h + v * Y[y] if not unitary or math.gcd(x, y) == 1 else h
-                     for h, y in zip(H[at], ys)]
+            fv = type(v) is Fraction
+            H[at] = [h if unitary and math.gcd(x, y) != 1 else h + v * w if v and w
+                     else h if type(h) is Fraction or not fv and type(w) is not Fraction
+                     else Fraction(h)
+                     for h, y, w in zip(H[at], ys, Y[ys.start : ys.stop])]
 
         def read(n: int) -> Rational:
             if n > window:
@@ -163,7 +174,7 @@ def unitary(f: ArithFn, g: ArithFn) -> ArithFn:
 
 def pointwise_product(f: ArithFn, g: ArithFn) -> ArithFn:
     """n -> f(n) * g(n)."""
-    return ArithFn(f"product({f.name},{g.name})", lambda n: f._eval(n) * g._eval(n))
+    return _Op(f"product({f.name},{g.name})", lambda fe, ge: lambda n: fe(n) * ge(n), f, g)
 
 
 def scale(f: ArithFn, c: Rational) -> ArithFn:
@@ -172,7 +183,18 @@ def scale(f: ArithFn, c: Rational) -> ArithFn:
     if cf == 0:
         raise ValueError("scale constant must be nonzero")
     cv: Rational = cf.numerator if cf.denominator == 1 else cf
-    return ArithFn(f"scale:{format_rational(cf)}({f.name})", lambda n: cv * f._eval(n))
+    return _Op(f"scale:{format_rational(cf)}({f.name})", lambda fe: lambda n: cv * fe(n), f)
+
+
+# compose kind -> (its token in names and specs, its rule over f's evaluator fe)
+_COMPOSE = {
+    "dilate_kn": ("dilate", lambda k, fe: lambda n: fe(k * n)),
+    "k_over_n": ("kovern", lambda k, fe: lambda n: fe(k // n) if k % n == 0 else 0),
+    "n_over_k": ("noverk", lambda k, fe: lambda n: fe(n // k) if n % k == 0 else 0),
+    "gcd_k": ("gcdk", lambda k, fe: lambda n: fe(math.gcd(k, n))),
+    "lcm_k": ("lcmk", lambda k, fe: lambda n: fe(math.lcm(k, n))),
+}
+COMPOSE_KINDS = tuple(_COMPOSE)
 
 
 def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
@@ -183,19 +205,10 @@ def compose(f: ArithFn, kind: str, k: int) -> ArithFn:
     positive integers contribute 0 (zero extension).
     """
     nt._check_int(k, "composition parameter")
-    if kind == "dilate_kn":
-        fn = lambda n: f._eval(k * n)
-    elif kind == "k_over_n":
-        fn = lambda n: f._eval(k // n) if k % n == 0 else 0
-    elif kind == "n_over_k":
-        fn = lambda n: f._eval(n // k) if n % k == 0 else 0
-    elif kind == "gcd_k":
-        fn = lambda n: f._eval(math.gcd(k, n))
-    elif kind == "lcm_k":
-        fn = lambda n: f._eval(math.lcm(k, n))
-    else:
+    if kind not in _COMPOSE:
         raise ValueError(f"unknown composition kind {kind!r}")
-    return ArithFn(f"{_COMPOSE_TOKEN[kind]}:{k}({f.name})", fn)
+    token, rule = _COMPOSE[kind]
+    return _Op(f"{token}:{k}({f.name})", lambda fe: rule(k, fe), f)
 
 
 # counts[m] = number of integer tuples (x_1, ..., x_s) with sum of squares m;

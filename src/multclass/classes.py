@@ -13,14 +13,14 @@ the same table, sweeps and recheck. The coprime-pair classes share one
 identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
 quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
 the shift a. One engine, _least_sweep, decides the shifted law in every
-arity from a table of f(a N) over the two splits per int or box point of
-one iterator, coprime_pairs; only a failure runs _sweep for the least
-witness: by (m*n, m) for one-variable pairs, lexicographically for tuple
-pairs. _coprime_row reads the other two rows off f(unit) and, at
-a = unit, off that sweep. check_rearick decides its law by Rearick's
-theorem and sweeps every pair, by (m, n), only for a refutation's
-witness. One factor-system type, SelbergFactorization, and one
-extractor, extract_selberg, serve every arity.
+arity: one iterator, coprime_pairs, hands it each int or box point N once
+with its least-prime split, and it stores f(a N) and checks that split in
+one step. Only a failure runs _sweep for the least witness: by (m*n, m)
+for one-variable pairs, lexicographically for tuple pairs. _coprime_row
+reads the other two rows off f(unit) and that sweep; check_rearick decides
+its law by Rearick's theorem and sweeps every pair only for a witness. One
+extractor, extract_selberg, reads every arity's SelbergFactorization off
+the sweep's table, prime by prime.
 
 Checkers only read their input function, hence are safe to run
 concurrently.
@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
@@ -244,49 +245,60 @@ def _report(klass: str, window: int, w: Optional[Witness], **known) -> ClassRepo
     return ClassReport(klass, REFUTED, window, witness=w, reason=_reason(w), **known)
 
 
-def coprime_pairs(caps: Union[int, tuple[int, ...]]) -> Iterator[tuple]:
-    """Two coprime splits of each point N up to caps, by (prod N, N): (unit,
-    N), then (Q, N / Q) when prod N has two or more prime factors, Q the
-    componentwise full power of its least prime. An int caps gives the ints
-    1..caps, a tuple caps the box of tuples N with N_i <= caps[i].
+def _least_powers(t: array) -> array:
+    """p**e at k for the least prime p of k and its full exponent e, and k at
+    0 and 1, over the smallest-prime-factor table t of numtheory."""
+    size = len(t)
+    lpp = array("I" if size <= 1 << 32 else "Q", range(size))
+    # only primes up to the root divide composites; descending, the least writes last
+    for p in [p for p in range(math.isqrt(size - 1), 1, -1) if not t[p]]:
+        q = p
+        while q < size:
+            lpp[q::q] = array(lpp.typecode, [q]) * len(range(q, size, q))
+            q *= p
+    return lpp
 
-    These two suffice for any law c F(m.n) = F(m) F(n) with c != 0. If it
-    holds at every split of every point before N and at these two, a
+
+def coprime_pairs(caps: Union[int, tuple[int, ...]]) -> Iterator[tuple]:
+    """Each point N up to caps once, by (prod N, N), with its least-prime
+    split: (N, Q, N / Q), Q the componentwise full power of the least prime
+    of prod N, or (N, None, None) when prod N is a prime power or 1. An int
+    caps gives the ints 1..caps, a tuple caps the box of tuples N with
+    N_i <= caps[i]; Q comes off _least_powers, kept with numtheory's table.
+
+    These splits suffice for any law c F(m.n) = F(m) F(n) with c = F(unit)
+    != 0. If it holds at every split of every point before N and at N's, a
     coprime split m.n = N sends all of Q to one side, m = Q.m'. Then
     c^2 F(N) = c F(Q) F(m'.n) = F(Q) F(m') F(n) = c F(m) F(n): each point
     reduced to has a smaller product, and componentwise divisors of N stay
     in the box. So the first point with a failing split is the first N
-    failing here. With c = F(unit), each (unit, N) holds by itself.
+    failing here; (unit, N) holds by itself.
     """
-    tuples = not isinstance(caps, int)
-    if tuples:
-        unit = (1,) * len(caps)
-        box = itertools.product(*(range(1, c + 1) for c in caps))
-        # the box comes lexicographically and sorted() is stable: (prod N, N)
-        points = sorted(box, key=math.prod)
-    else:
-        unit, points = 1, range(1, caps + 1)
-    for pt in points:
-        yield unit, pt
-        prod = math.prod(pt) if tuples else pt
-        # prod & -prod is the full power of 2 in an even prod; it spares the
-        # sweep half of its calls
-        q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
-        if q != prod:
-            if tuples:
-                # gcd(N_i, q) is the least prime's full power in N_i
-                qvec = tuple(math.gcd(x, q) for x in pt)
-                yield qvec, tuple(x // y for x, y in zip(pt, qvec))
-            else:
-                yield q, prod // q
+    top = caps if isinstance(caps, int) else math.prod(caps)
+    # past the sieve bound, least_prime_power factors each product
+    table = nt._spf_upto(top, 2, _least_powers) if top <= nt.sieve_bound() else None
+    if isinstance(caps, int):
+        points = range(1, caps + 1)
+        qs = itertools.islice(table, 1, None) if table else map(nt.least_prime_power, points)
+        for n, q in zip(points, qs):
+            yield (n, None, None) if q == n else (n, q, n // q)
+        return
+    least = table.__getitem__ if table else nt.least_prime_power
+    # the box comes lexicographically and sorted() is stable: (prod N, N)
+    points = sorted(itertools.product(*(range(1, c + 1) for c in caps)), key=math.prod)
+    for pt, prod in zip(points, map(math.prod, points)):
+        q = least(prod)
+        if q == prod:
+            yield pt, None, None
+            continue
+        qvec = tuple(math.gcd(x, q) for x in pt)  # the least prime's full power in each N_i
+        yield pt, qvec, tuple(map(operator.floordiv, pt, qvec))
 
 
 def _splits(m: int, n: int) -> Iterator[tuple[int, int]]:
     """Every ordered coprime pair (d, m*n // d): d runs over the unitary
     divisors of m*n, ascending."""
-    prod = m * n
-    for d in nt.unitary_divisors(prod):
-        yield d, prod // d
+    return ((d, m * n // d) for d in nt.unitary_divisors(m * n))
 
 
 def _least_sweep(
@@ -300,24 +312,23 @@ def _least_sweep(
     """The least instance at which the shifted law fails, in any arity.
 
     f is a _WindowValues read and c = f(a) != 0. With F(N) = f(a N) the law
-    reads c F(m n) = F(m) F(n), so in the two-split order of
-    coprime_pairs(caps) each (unit, N) only stores F(N), read through f's
-    past function, and the (q, N / q) after it compares c F(N) with
-    F(q) F(N / q) as integer cross products (as_integer_ratio, for int and
-    Fraction); a failure sweeps witness_pairs(q, N / q). Returns the
-    witness or None, and F as read, a dict by point N."""
+    reads c F(m n) = F(m) F(n), so each point N of coprime_pairs(caps), in
+    order, stores F(N), read through f's past function, and compares c F(N)
+    with F(q) F(N / q) at its split (q, N / q), if any, as integer cross
+    products (as_integer_ratio, for int and Fraction); a failure sweeps
+    witness_pairs(q, N / q). Returns the witness or None, and F as read, a
+    dict by point N."""
     unit, mul, past = _unit(a), _point_product(a), f.__self__.past
-    F, last = {unit: c}, c
+    F = {unit: c}
     cn, cd = c.as_integer_ratio()
-    # the leading (unit, unit) split would read f(a) = c again
-    for m, n in itertools.islice(coprime_pairs(caps), 1, None):
-        if m == unit:
-            F[n] = last = past(mul(a, n))
-            continue
-        ln, ld = last.as_integer_ratio()
-        (xn, xd), (yn, yd) = F[m].as_integer_ratio(), F[n].as_integer_ratio()
-        if cn * ln * xd * yd != xn * yn * cd * ld:
-            return _sweep(f, law, witness_pairs(m, n), mul, c, a), F
+    # the leading unit would read f(a) = c again
+    for n, q, r in itertools.islice(coprime_pairs(caps), 1, None):
+        F[n] = v = past(mul(a, n))
+        if q is not None:
+            (vn, vd), (xn, xd) = v.as_integer_ratio(), F[q].as_integer_ratio()
+            yn, yd = F[r].as_integer_ratio()
+            if cn * vn * xd * yd != xn * yn * cd * vd:
+                return _sweep(f, law, witness_pairs(q, r), mul, c, a), F
     return None, F
 
 
@@ -353,12 +364,12 @@ def _least_support(f: Callable, points: Iterable) -> Optional[AnyPoint]:
 class _WindowValues(dict):
     """f read through one table, filled on first use: a value at 1..window
     is evaluated once and kept. Values read once, kept nowhere, are read
-    through past: f's fresh reader for the window (arith), which sieves a
-    convolution's window values, for an ArithFn; the memo of a MultiArithFn
+    through past: for an ArithFn its reader for the window (arith), memo-free
+    at every level and sieving convolutions; the memo of a MultiArithFn
     (every point is the checkers' own, so none needs the argument check);
     else f. Such are the arguments past the window, as a Rearick product,
     and the window values that _least_sweep keeps in its own table or that
-    the support law reads off the multiples of a.
+    the support search reads off the multiples of a.
 
     For a function with an arity, 1 included, points are tuples and the
     window is the corner (W, ..., W) of the window box. Tuples compare
@@ -432,11 +443,11 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     a = _least_support(values, range(1, window + 1))
     if a is None:
         return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window)
-    # multiples of a hold, and at a = 1 every n is one
-    off = ((a, n) for n in range(a + 1, window + 1) if n % a)
-    w = _sweep(values.__self__.past, LAW_SUPPORT, off, a=a) if a > 1 else None
-    if w is not None:
-        return _report(SEMIMULTIPLICATIVE, window, w, a=a)
+    # the first support point off the multiples of a, which at a = 1 are all
+    past, off = values.__self__.past, range(a + 1, window + 1) if a > 1 else ()
+    off = next((n for n in off if n % a and past(n) != 0), None)
+    if off is not None:
+        return _report(SEMIMULTIPLICATIVE, window, _sweep(past, LAW_SUPPORT, [(a, off)], a=a), a=a)
     fa = values(a)
     w, F = _least_sweep(values, LAW_SHIFTED, window // a, _splits, fa, a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a, table=F)
@@ -560,11 +571,11 @@ class SelbergFactorization:
 def extract_selberg(
     f: Callable, window: int, report: Optional[ClassReport] = None
 ) -> SelbergFactorization:
-    """Read the per-prime factor system off a window-consistent
-    semimultiplicative function of any arity: F_p(e) = f(probe) / f(a) with
-    probe_i = a_i p^(e_i - nu_p(a_i)), and F_p(e) = 0 as soon as one e_i
-    drops below nu_p(a_i). The report defaults to the one-variable check,
-    so a multivariable f needs a report or extract_selberg_u."""
+    """Read the factor system of a window-consistent semimultiplicative f of
+    any arity off its report's table, one column per prime, one Fraction per
+    entry: F_p(e) = f(probe) / f(a), probe_i = a_i p^(e_i - nu_p(a_i)), or 0
+    once an e_i drops below nu_p(a_i). The report defaults to the one-variable
+    check, so a multivariable f needs a report or extract_selberg_u."""
     arity, name = getattr(f, "arity", 1), getattr(f, "name", repr(f))
     if report is None and hasattr(f, "arity"):
         raise ValueError(f"{name} has arity {arity}; use extract_selberg_u or pass a report")
@@ -575,30 +586,27 @@ def extract_selberg(
             f"{name} is not semimultiplicative-consistent on window {window} "
             f"(verdict {rep.verdict})"
         )
-    a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
+    a, c, F = rep.a, rep.c, rep.table
     coords, one_var, zero, one = _coords(a), isinstance(a, int), Fraction(0), Fraction(1)
-    unit, mul, F = _unit(a), _point_product(a), rep.table
+    unit, mul, (num, den) = _unit(a), _point_product(a), Fraction(c).as_integer_ratio()
+    read = F.__getitem__ if F is not None else lambda N: f(mul(a, N))  # None: a report made by hand
+    # F(N) / c, one Fraction an entry; no gcd at c = 1
+    ratio = (lambda v: v if type(v) is Fraction else Fraction(v)) if c == 1 else (
+        lambda v: Fraction(v.numerator * den, v.denominator * num))
     tables: dict[int, dict[AnyPoint, Fraction]] = {}
     for p in nt.primes_up_to(window):
-        axes = []  # per coordinate, N_i with probe_i = a_i N_i by exponent: None below nu_p(a_i)
-        for ai, na in zip(coords, _signature(p, coords)):
-            axes.append([None] * na)
+        axes = []  # per coordinate, N_i by exponent, probe_i = a_i N_i: None below nu_p(a_i)
+        for ai in coords:
+            axes.append([None] * nt._nu(p, ai))
             q = 1
             while ai * q <= window:
                 axes[-1].append(q)
                 q *= p
-        exponents = itertools.product(*(range(len(axis)) for axis in axes))
-        col: dict[AnyPoint, Fraction] = {}
-        for e, probe in zip(exponents, itertools.product(*axes)):
-            key, N = (e[0], probe[0]) if one_var else (e, probe)
-            if None in probe:
-                col[key] = zero
-            elif N == unit:
-                col[key] = one  # f(a) / c with c = f(a)
-            else:  # f(a N) / c, normalized once; F is None in a report made by hand
-                v = F[N] if F is not None else f(mul(a, N))
-                col[key] = Fraction(v.numerator * den, v.denominator * num)
-        tables[p] = col
+        # the points N by exponent; in several variables N is None as soon as one N_i is
+        pts = enumerate(axes[0]) if one_var else zip(
+            itertools.product(*map(range, map(len, axes))),
+            (None if None in N else N for N in itertools.product(*axes)))
+        tables[p] = {e: zero if N is None else one if N == unit else ratio(read(N)) for e, N in pts}
     return SelbergFactorization(rep.c, a, tables, f)
 
 

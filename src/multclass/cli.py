@@ -30,7 +30,7 @@ from . import ramanujan as rj
 from .arith import (
     ArithFn,
     _CLASSICAL,
-    _COMPOSE_TOKEN,
+    _COMPOSE,
     compose,
     dirichlet,
     eta,
@@ -77,7 +77,7 @@ _NAME = re.compile(r" *([a-z0-9_-]*)(?::([0-9/-]*))?")
 _SEP = re.compile(r" *([,)]?)")
 
 # spec token -> compose kind, the inverse of the tokens compose puts in names
-_UNARY_KIND = {token: kind for kind, token in _COMPOSE_TOKEN.items()}
+_UNARY_KIND = {token: kind for kind, (token, _) in _COMPOSE.items()}
 _UNARY = ("scale", *_UNARY_KIND)
 _BINARY = ("dirichlet", "product", "unitary", "tensor")
 # leaf -> (builder, the flag a bare leaf reads its parameter from); a leaf
@@ -296,12 +296,7 @@ def _cmd_eval(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
         raise FnSpecError("eval supports one-variable functions; use classify --arity 2")
     lo, hi = _parse_range(args.n)
     rows = [(n, format_rational(fn(n))) for n in range(lo, hi + 1)]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "eval",
-        "fn": fn.name,
-        "results": [{"n": n, "value": v} for n, v in rows],
-    }
+    report = {"fn": fn.name, "results": [{"n": n, "value": v} for n, v in rows]}
     lines = ["n\tvalue"] + [f"{n}\t{v}" for n, v in rows]
     return report, lines, False
 
@@ -310,10 +305,9 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
     fn = parse_fn_spec(args.fn, args.r, args.k)
     if args.window < 2:
         raise FnSpecError(f"window must be at least 2, got {args.window}")
-    if args.arity is not None and args.arity != getattr(fn, "arity", 1):
-        raise FnSpecError(
-            f"--arity {args.arity} does not match {fn.name} (arity {getattr(fn, 'arity', 1)})"
-        )
+    arity = getattr(fn, "arity", 1)
+    if args.arity is not None and args.arity != arity:
+        raise FnSpecError(f"--arity {args.arity} does not match {fn.name} (arity {arity})")
     if isinstance(fn, ArithFn):
         reports = classify_all(fn, args.window)
         reports[REARICK] = check_rearick(fn, args.window, reports[SEMIMULTIPLICATIVE])
@@ -333,11 +327,9 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
             failed = True
             lines.append(f"# expectation failed: {expected} is {verdict}")
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify",
         "fn": fn.name,
         "window": args.window,
-        "arity": getattr(fn, "arity", 1),
+        "arity": arity,
         "results": rows,
     }
     if args.expect:
@@ -354,8 +346,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, list[str], bool]:
     lines = ["check\tok\tdetail"]
     lines.extend(f"{c.name}\t{'pass' if c.ok else 'FAIL'}\t{c.detail}" for c in result.checks)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
         "suite": result.suite,
         "window": result.window,
         "passed": result.ok,
@@ -413,6 +403,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         report, lines, failed = handlers[args.command](args)
+        report |= {"schema_version": SCHEMA_VERSION, "command": args.command}
     except ValueError as exc:  # FnSpecError and SieveBoundError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

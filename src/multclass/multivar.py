@@ -22,14 +22,13 @@ F_p(0,...,0) = 1 wherever the support permits.
 Every checker reads f through one value table of the window box
 (classes._WindowValues), but check_selberg_u reads each box point once,
 under f's memo, with its sparse row of signatures (_row).
-check_semimultiplicative_u runs classes._least_sweep: from a table of
-f(a N), two coprime splits per box point decide, from classes.coprime_pairs
-given the box's caps, and only a refuted law sweeps the coprime pairs
-lexicographically (_coprime_tuple_pairs) for the least witness, from the
-pairs whose product reaches the failing point's: the induction of
-coprime_pairs has proven every split of a smaller product. The
-multiplicative and quasimultiplicative rows are read off f(1, ..., 1) and
-that sweep (classes._coprime_row).
+check_semimultiplicative_u runs classes._least_sweep over the box points
+of classes.coprime_pairs, each with its least-prime split, and only a
+refuted law sweeps the coprime pairs lexicographically
+(_coprime_tuple_pairs) for the least witness, from the pairs whose product
+reaches the failing point's: the sweep has proven every smaller product.
+The multiplicative and quasimultiplicative rows are read off f(1, ..., 1)
+and that sweep (classes._coprime_row).
 
 Everything here is pure and deterministically ordered, so witnesses are
 reproducible.

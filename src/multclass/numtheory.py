@@ -6,11 +6,11 @@ overflows, and nothing in this module touches floating point.
 
 All functions are pure. The smallest-prime-factor table, two bytes an
 entry, grows on demand, never past the sieve bound, and each growth is
-published whole: the table and its prime list are rebound together as one
-value. A concurrent caller therefore only ever reads a table with its own
-prime list, so concurrent callers are safe; results never depend on call
-order. Cached factorizations share their (p, e) pairs through one bounded
-cache.
+published whole: the table and the parts made from it (its primes, the
+sweeps' least prime powers) are rebound together as one value. A caller
+therefore only ever reads a table with its own parts, so concurrent
+callers are safe; results never depend on call order. Cached
+factorizations share their (p, e) pairs through one bounded cache.
 
 The module loads no other multclass module and, beyond `array`, only
 standard-library modules the interpreter loads at start-up (no dataclasses,
@@ -36,8 +36,8 @@ class SieveBoundError(ValueError):
 
 _sieve_bound: int | None = None
 # The smallest-prime-factor table t (t[k] is the least prime of a composite
-# k, else 0) and its primes, ascending, once listed.
-_EMPTY: tuple[array, array | None] = (array("H", [0, 0]), None)
+# k, else 0), then its primes and its least prime powers, once made.
+_EMPTY: tuple = (array("H", [0, 0]), None, None)
 _table = _EMPTY
 
 
@@ -70,8 +70,15 @@ def _sieve(size: int) -> array:
     return t
 
 
-def _spf_upto(n: int) -> array:
-    """The smallest-prime-factor table, grown to cover n <= sieve_bound().
+def _primes(t: array) -> array:
+    return array("I", compress(range(2, len(t)), map(not_, islice(t, 2, None))))
+
+
+def _spf_upto(n: int, i: int = 0, build=None) -> array:
+    """Part i of the table grown to cover n <= sieve_bound(): the
+    smallest-prime-factor table itself (i = 0), else build(table), made once
+    per table: its primes, ascending (i = 1, build _primes), or the least
+    prime powers of classes.coprime_pairs (i = 2, classes._least_powers).
 
     A table too short for n is rebuilt at twice n (at least 2**12), so a
     process pays only for the arguments it reaches and rebuilds O(log n)
@@ -79,28 +86,16 @@ def _spf_upto(n: int) -> array:
     bound: a build just short of it would soon be followed by a second,
     full one."""
     global _table
-    t = _table[0]
-    if n < len(t):
-        return t
-    # free the old table before the new one is built
-    del t
-    _table = _EMPTY
-    bound = sieve_bound()
-    size = max(2 * n, 1 << 12)
-    t = _sieve(bound if 4 * size >= 3 * bound else size)
-    _table = (t, None)
-    return t
-
-
-def _table_primes(n: int) -> array:
-    """Every prime of the table grown to cover n, ascending."""
-    global _table
-    t = _spf_upto(n)
-    held, primes = _table
-    if held is not t or primes is None:
-        primes = array("I", compress(range(2, len(t)), map(not_, islice(t, 2, None))))
-        _table = (t, primes)
-    return primes
+    held = _table
+    if n >= len(held[0]):
+        # free the old table before the new one is built
+        held = _table = _EMPTY
+        size = max(2 * n, 1 << 12)
+        bound = sieve_bound()
+        held = _table = (_sieve(bound if 4 * size >= 3 * bound else size), None, None)
+    if held[i] is None:
+        held = _table = held[:i] + (build(held[0]),) + held[i + 1 :]
+    return held[i]
 
 
 def sieve_bound() -> int:
@@ -136,7 +131,7 @@ def primes_up_to(n: int) -> list[int]:
             f"primes_up_to({n}) exceeds the sieve bound {bound}; "
             f"set {SIEVE_BOUND_ENV} to raise it"
         )
-    primes = _table_primes(n)
+    primes = _spf_upto(n, 1, _primes)
     return primes[: bisect.bisect_right(primes, n)].tolist()
 
 
@@ -206,7 +201,7 @@ def _walk(n: int) -> Iterator[tuple[int, int]]:
         _check_int(n, "n")
         bound = sieve_bound()
         if m > bound:
-            for p in _table_primes(min(bound, math.isqrt(m))):
+            for p in _spf_upto(min(bound, math.isqrt(m)), 1, _primes):
                 if p * p > m:
                     break
                 if m % p == 0:
@@ -250,16 +245,10 @@ def factorize(n: int) -> Factorization:
 
 
 def least_prime_power(n: int) -> int:
-    """p**e for the least prime p of n and its full exponent e; 1 at n = 1."""
-    t = _table[0]
-    # the sweeps' common case, n already in the table, skips this
-    if not (isinstance(n, int) and 1 < n < len(t)):
-        p, e = next(_walk(n), (1, 0))
-        return p**e
-    p = q = t[n] or n
-    while n % (q * p) == 0:
-        q *= p
-    return q
+    """p**e for the least prime p of n and its full exponent e; 1 at n = 1.
+    The sweeps read theirs off an array kept with the table instead."""
+    p, e = next(_walk(n), (1, 0))
+    return p**e
 
 
 def _nu(p: int, n: int) -> int:

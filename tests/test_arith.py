@@ -265,3 +265,39 @@ def test_an_early_refutation_reads_a_convolution_to_twice_its_point():
     assert {r.verdict for r in reports.values()} == {REFUTED}
     assert reports["semimultiplicative"].witness.n == 3
     assert max(seen) <= 12
+
+
+# operator trees over the CLI leaves: fractional scales, products, the five
+# compositions and both convolutions, over zero-heavy leaves among others
+_OP_TREES = st.recursive(_LEAVES, _unary_or_binary, max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_OP_TREES, st.integers(1, 300), st.randoms(use_true_random=False))
+@example("unitary(scale:-2/3(mobius),c:29)", 3352, random.Random(0))
+@example("scale:3/2(dirichlet(eta:12,scale:-1(noverk:2(mobius))))", 200, random.Random(1))
+def test_op_readers_equal_the_per_point_values(spec, window, rng):
+    from multclass.cli import parse_fn_spec
+
+    f = parse_fn_spec(spec)
+    read = f.reader(window)
+    points = [*range(1, window + 1), window + 1, window + 7, 2 * window + 1, 3 * window]
+    rng.shuffle(points)
+    for n in points:
+        got, want = read(n), f._eval.__wrapped__(n)
+        assert (got, type(got)) == (want, type(want)), (spec, n)
+
+
+def test_a_convolution_under_a_unary_op_reads_its_window_off_the_sieve(monkeypatch):
+    from multclass.classes import check_semimultiplicative
+    from multclass.cli import parse_fn_spec
+
+    calls = []
+    divisors = nt.divisors
+    monkeypatch.setattr(nt, "divisors", lambda n: calls.append(n) or divisors(n))
+    for op in ("scale:2/3", "noverk:2", "kovern:12", "gcdk:12"):
+        calls.clear()
+        f = parse_fn_spec(f"{op}(dirichlet(mobius,phi))")
+        check_semimultiplicative(f, 512)
+        # at most the least-support reads go point by point
+        assert len(calls) <= 2, (op, calls)

@@ -100,12 +100,12 @@ def test_traced_layers_see_the_checkers(tracer):
     for module, names in CHECKERS.items():
         for name in names:
             assert metrics[f"{module}.{name}.s"] > 0, f"{module}.{name}"
-    # two splits per point of two or more prime factors, one otherwise: 100
-    # for N <= 64 in each of the three sweeps at window 64, 21 for N <= 16
-    # in check_rearick's semimultiplicative check, whose products past 16
-    # are split by _wide_splits, which is not counted, and 57 for the 6 x 6
-    # box in each of the three tuple sweeps of mobius x one at window 6
-    assert metrics["classes.coprime_pairs.pairs"] == 3 * 100 + 21 + 3 * 57
+    # one item per point, with its split: 64 for N <= 64 in each of the
+    # three sweeps at window 64, 16 for N <= 16 in check_rearick's
+    # semimultiplicative check, whose products past 16 are split by
+    # _wide_splits, which is not counted, and 36 for the 6 x 6 box in each
+    # of the three tuple sweeps of mobius x one at window 6
+    assert metrics["classes.coprime_pairs.pairs"] == 3 * 64 + 16 + 3 * 36
     assert metrics["arith.eval.calls"] > 0
     assert metrics["multivar.eval.calls"] > 0
 

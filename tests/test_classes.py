@@ -29,6 +29,7 @@ from multclass.classes import (
     SEMIMULTIPLICATIVE,
     ClassReport,
     _least_support,
+    _pmul,
     _report,
     _splits,
     _sweep,
@@ -277,7 +278,7 @@ def test_shifted_law_on_semimultiplicative():
 
 def every_split(bound):
     """Every ordered coprime pair (m, n) with m*n <= bound, by (m*n, m): the
-    full sweep that the two-split coprime_pairs replaces."""
+    full sweep that the splits of coprime_pairs replace."""
     return (pair for prod in range(1, bound + 1) for pair in _splits(1, prod))
 
 
@@ -505,8 +506,16 @@ def test_rearick_keeps_values_past_the_window_out_of_the_memo(at, verdict):
 
 
 def test_rearick_bounds_the_memo_of_an_inner_function():
+    # the decision reads scale(inner, 2) through its reader, which reads
+    # inner through inner's: only the least-support read of f(1) meets
+    # inner's memo
     inner = ArithFn("phi'", nt.euler_phi)
     assert check_rearick(scale(inner, 2), 160).verdict == CONSISTENT
+    assert inner._eval.cache_info().currsize <= 2
+    # point by point, scale(inner, 2) reads inner through its memo, which
+    # stays bounded past MEMO_SIZE distinct arguments
+    outer = scale(inner, 2)
+    assert all(outer(n) == 2 * nt.euler_phi(n) for n in range(1, 2 * MEMO_SIZE + 1))
     info = inner._eval.cache_info()
     assert info.currsize <= MEMO_SIZE < info.misses
 
@@ -566,6 +575,38 @@ def test_wide_splits_visit_each_product_past_the_bound_once(bound):
         assert sorted(u * v for u, v in splits) == sorted(products)
 
 
+def two_splits(caps):
+    """The two coprime splits of each point up to caps, by (prod N, N):
+    (unit, N), then (Q, N / Q) when prod N has two or more prime factors, Q
+    the componentwise full power of its least prime. A copy of the
+    iterator that coprime_pairs' one item per point replaced."""
+    tuples = not isinstance(caps, int)
+    if tuples:
+        unit = (1,) * len(caps)
+        box = itertools.product(*(range(1, c + 1) for c in caps))
+        points = sorted(box, key=math.prod)
+    else:
+        unit, points = 1, range(1, caps + 1)
+    for pt in points:
+        yield unit, pt
+        prod = math.prod(pt) if tuples else pt
+        q = prod & -prod if prod % 2 == 0 else nt.least_prime_power(prod)
+        if q != prod:
+            if tuples:
+                qvec = tuple(math.gcd(x, q) for x in pt)
+                yield qvec, tuple(x // y for x, y in zip(pt, qvec))
+            else:
+                yield q, prod // q
+
+
+def as_two_splits(items):
+    """coprime_pairs' items as the two splits per point they stand for."""
+    for n, q, r in items:
+        yield (1 if isinstance(n, int) else (1,) * len(n)), n
+        if q is not None:
+            yield q, r
+
+
 @pytest.mark.parametrize(
     "caps, splits, pairs",
     [
@@ -581,21 +622,45 @@ def test_coprime_pairs_yields_two_splits_per_point_of_several_primes(caps, split
     # pairs counts the tuple witness sweep that a failed tuple split reruns
     axes = [range(1, c + 1) for c in (caps if isinstance(caps, tuple) else (caps,))]
     several = sum(1 for pt in itertools.product(*axes) if nt.omega(math.prod(pt)) >= 2)
-    assert sum(1 for _ in coprime_pairs(caps)) == math.prod(map(len, axes)) + several == splits
+    items = list(coprime_pairs(caps))
+    assert len(items) == math.prod(map(len, axes))
+    assert sum(q is not None for _, q, _ in items) == several
+    assert sum(1 for _ in as_two_splits(items)) == len(items) + several == splits
     if pairs is not None:
         assert sum(1 for _ in _coprime_tuple_pairs(caps)) == pairs
 
 
 def test_coprime_pairs_of_a_tuple_caps_split_the_box_in_product_order():
+    one = lambda x: None if x is None else (x,)
     for window in range(1, 65):
-        ints = [((m,), (n,)) for m, n in coprime_pairs(window)]
+        ints = [((n,), one(q), one(r)) for n, q, r in coprime_pairs(window)]
         assert list(coprime_pairs((window,))) == ints
     for caps in ((12, 7), (6, 5, 4)):
-        splits = list(coprime_pairs(caps))
-        assert all(math.gcd(math.prod(m), math.prod(n)) == 1 for m, n in splits)
-        points = [n for m, n in splits if m == (1,) * len(caps)]
+        items = list(coprime_pairs(caps))
+        split = [(n, q, r) for n, q, r in items if q is not None]
+        for n, q, r in split:
+            assert math.gcd(math.prod(q), math.prod(r)) == 1 and _pmul(q, r) == n
         box = itertools.product(*(range(1, c + 1) for c in caps))
-        assert points == sorted(box, key=lambda pt: (math.prod(pt), pt))
+        assert [n for n, _, _ in items] == sorted(box, key=lambda pt: (math.prod(pt), pt))
+
+
+def test_coprime_pairs_give_the_points_and_splits_of_the_two_split_iterator():
+    int_caps = [*range(1, 65), 1000, 4095, 1 << 12]
+    boxes = [(1, 1), (9, 9), (24, 17), (40, 40), (1, 1, 1), (6, 5, 4), (10, 10, 10)]
+    for caps in int_caps + boxes:
+        assert list(as_two_splits(coprime_pairs(caps))) == list(two_splits(caps)), caps
+    # a larger table, grown after a smaller one, gives the same splits
+    assert list(as_two_splits(coprime_pairs(20_000))) == list(two_splits(20_000))
+
+
+def test_coprime_pairs_past_the_sieve_bound_factor_each_point():
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(100)
+        assert list(as_two_splits(coprime_pairs(300))) == list(two_splits(300))
+        assert list(as_two_splits(coprime_pairs((12, 11)))) == list(two_splits((12, 11)))
+    finally:
+        nt.set_sieve_bound(old)
 
 
 def test_classify_all_reads_each_window_value_once():
@@ -766,3 +831,74 @@ pair_fn = tensor(mobius, mobius)
 def test_a_function_of_the_wrong_kind_is_refused(check, f, use):
     with pytest.raises(ValueError, match=f"; use {use}"):
         check(f, 6)
+
+
+def per_prime_extraction(f, window, rep):
+    """extract_selberg's tables as a product over every coordinate's axis
+    gave them, one normalized Fraction an entry: a copy of the extractor
+    that the per-prime columns replaced."""
+    a, (num, den) = rep.a, Fraction(rep.c).as_integer_ratio()
+    coords, one_var = (a,) if isinstance(a, int) else a, isinstance(a, int)
+    unit = 1 if one_var else (1,) * len(a)
+    tables = {}
+    for p in nt.primes_up_to(window):
+        axes = []
+        for ai in coords:
+            axes.append([None] * nt.nu(p, ai))
+            q = 1
+            while ai * q <= window:
+                axes[-1].append(q)
+                q *= p
+        exponents = itertools.product(*(range(len(axis)) for axis in axes))
+        col = {}
+        for e, probe in zip(exponents, itertools.product(*axes)):
+            key, N = (e[0], probe[0]) if one_var else (e, probe)
+            if None in probe:
+                col[key] = Fraction(0)
+            elif N == unit:
+                col[key] = Fraction(1)
+            else:
+                v = rep.table[N] if rep.table is not None else f(a * N if one_var else _pmul(a, N))
+                col[key] = Fraction(v.numerator * den, v.denominator * num)
+        tables[p] = col
+    return tables
+
+
+def _factor_value(p, e):
+    # ints, fractions and zeros among the per-prime factors
+    values = {2: e + 3, 3: Fraction(1, 3) ** e, 5: 0 if e >= 2 else -2, 7: Fraction(-7, 4)}
+    return values.get(p, p - e)
+
+
+def _shifted_member(c, a):
+    """n -> c * prod F_p(nu_p(n / a)) on the multiples of a, else 0; with an
+    arity when a is a tuple, componentwise, each coordinate's factor apart."""
+
+    def g(n):
+        return math.prod((_factor_value(p, e) for p, e in nt.factorize(n)), start=1)
+
+    if isinstance(a, int):
+        return ArithFn(f"member:{c}:{a}", lambda n: 0 if n % a else c * g(n // a))
+
+    def h(pt):
+        if any(x % y for x, y in zip(pt, a)):
+            return 0
+        return c * math.prod(g(x // y) for x, y in zip(pt, a))
+
+    return MultiArithFn(f"member:{c}:{a}", len(a), h)
+
+
+@pytest.mark.parametrize("c", [1, -1, Fraction(2, 3)])
+@pytest.mark.parametrize("a", [1, 2, 12, (1, 1), (2, 1), (12, 2)])
+def test_extract_selberg_tables_keep_their_keys_values_and_types(c, a):
+    window = 60 if isinstance(a, int) else 24
+    f = _shifted_member(c, a)
+    check = check_semimultiplicative if isinstance(a, int) else check_semimultiplicative_u
+    semi = check(f, window)
+    assert (semi.verdict, semi.a, semi.c) == (CONSISTENT, a, c)
+    for rep in (semi, replace(semi, table=None)):
+        got, want = extract_selberg(f, window, rep).tables, per_prime_extraction(f, window, rep)
+        assert list(got) == list(want)
+        for p in want:
+            assert [(e, v, type(v)) for e, v in got[p].items()] == [
+                (e, v, type(v)) for e, v in want[p].items()], p

@@ -287,7 +287,10 @@ def test_refuted_tuple_sweep_keeps_the_lexicographic_witness():
     # (n, m) meets n = (1, 2), m = (1, 5) before n = (2, 1), m = (3, 1)
     broken = {(6, 1): 7, (1, 10): 5}
     f = MultiArithFn("two-bumps", 2, lambda pt: broken.get(pt, 1))
-    first = _sweep(f, LAW_MULT_U, coprime_pairs((12, 12)), _pmul)
+    # each point of coprime_pairs stands for its splits (unit, N) and (q, r), if any
+    items = coprime_pairs((12, 12))
+    splits = (s for n, q, r in items for s in [((1, 1), n), (q, r)][: 1 + (q is not None)])
+    first = _sweep(f, LAW_MULT_U, splits, _pmul)
     assert _pmul(first.m, first.n) == (6, 1)
     rep = check_multiplicative_u(f, 12)
     w = rep.witness

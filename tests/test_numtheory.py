@@ -357,3 +357,31 @@ def test_cached_factorizations_share_their_pairs():
     nt.factorize.cache_clear()
     assert nt.factorize(12).pairs[0] is nt.factorize(20).pairs[0]
     assert nt.factorize(20).pairs == ((2, 2), (5, 1))
+
+
+def test_least_prime_powers_agree_with_trial_division_across_growth():
+    from multclass.classes import _least_powers
+
+    def expected(k):
+        if k < 2:
+            return k
+        p, e = _trial_division(k)[0]
+        return p**e
+
+    old = nt.sieve_bound()
+    try:
+        nt.set_sieve_bound(200_000)
+        small = nt._spf_upto(100, 2, _least_powers)
+        assert len(small) == (1 << 12) + 1  # 0..2**12: at least 2**12, as the table
+        assert all(small[k] == expected(k) for k in range(len(small)))
+        # twice 80,000 reaches 3/4 of the bound: built at it
+        grown = nt._spf_upto(80_000, 2, _least_powers)
+        assert len(grown) == 200_001 and nt._spf_upto(1, 2, _least_powers) is grown
+        for k in [*range(65_000, 66_100), *range(2, 200_001, 97), 199_999, 200_000]:
+            assert grown[k] == expected(k), k
+        assert nt.least_prime_power(3**10) == 3**10 and nt.least_prime_power(2 * 65537) == 2
+        # a new bound drops the table with its parts
+        nt.set_sieve_bound(200_000)
+        assert nt._table[2] is None and len(nt._spf_upto(5000, 2, _least_powers)) == 10_001
+    finally:
+        nt.set_sieve_bound(old)
