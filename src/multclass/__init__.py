@@ -28,7 +28,7 @@ _EXPORTS = {
         "check_semimultiplicative", "classify_all", "extract_selberg", "recheck_witness",
     ),
     "multivar": (
-        "MultiArithFn", "MultiSelbergFactorization", "SelbergSystem", "TwoVariableReport",
+        "MultiArithFn", "TwoVariableReport",
         "check_multiplicative_u", "check_quasimultiplicative_u", "check_selberg_u",
         "check_semimultiplicative_u", "check_two_variable_theorem", "classify_all_u",
         "dirichlet_u", "extract_selberg_u", "selberg_not_semimultiplicative", "tensor",

@@ -20,7 +20,8 @@ for one-variable pairs, lexicographically for tuple pairs. _coprime_row
 reads the other two rows off f(unit) and that sweep; check_rearick decides
 its law by Rearick's theorem and sweeps every pair only for a witness. One
 extractor, extract_selberg, reads every arity's SelbergFactorization off
-the sweep's table, prime by prime.
+the sweep's table, prime by prime; the same type holds the factor system
+that multivar.check_selberg_u fits, and evaluates every one of them.
 
 Checkers only read their input function, hence are safe to run
 concurrently.
@@ -213,9 +214,9 @@ class ClassReport:
     """Outcome of one class check over one window, in any arity.
 
     forcing lists the support points that forced a multivariable shift.
-    selberg (one-variable Selberg row) and factorization (multivariable
-    semimultiplicative row) both hold a SelbergFactorization, under two JSON
-    keys; system holds the multivariable Selberg row's SelbergSystem.
+    selberg (one-variable Selberg row), factorization (multivariable
+    semimultiplicative row) and system (multivariable Selberg row) each hold
+    a SelbergFactorization, under three JSON keys.
     table, f(a N) by N <= W // a as the semimultiplicative decision read
     it, serves extract_selberg and check_rearick in place of f."""
 
@@ -229,7 +230,7 @@ class ClassReport:
     reason: str = ""
     arity: int = 1
     forcing: tuple = ()
-    system: "Optional[SelbergSystem]" = None
+    system: "Optional[SelbergFactorization]" = None
     factorization: "Optional[SelbergFactorization]" = None
     table: Optional[dict] = field(default=None, repr=False, compare=False)
 
@@ -528,24 +529,30 @@ def _signature(p: int, coords: Sequence[int]) -> tuple[int, ...]:
     return tuple(nt._nu(p, x) for x in coords)
 
 
-@dataclass(eq=False)
+@dataclass
 class SelbergFactorization:
-    """Leading constant f(a) plus per-prime factor columns F_p(e), in any
-    arity: a, points and exponents are ints in one variable, else tuples.
-
-    Stored columns cover every e whose probe point a_i p^(e_i - nu_p(a_i))
-    fits in the window; factor() computes anything further on demand from
-    the source function. Primes absent from the tables behave as F_p(0) = 1.
+    """One factor system in any arity, constant * prod_p F_p(e) with e the
+    point's p-signature and F_p(e) in tables; points and exponents are ints
+    in one variable, else tuples. extract_selberg fills the shift a and
+    source, the f it read: factor() reads off source any F_p(e) whose probe
+    point a_i p^(e_i - nu_p(a_i)) lies past the window. check_selberg_u fills
+    exceptions, the primes with F_p(0, ..., 0) = 0, and anchors, its gauge
+    choices F_p(e) = 1. Any other prime absent from a point contributes 1.
+    Systems compare by value, source aside.
     """
 
     constant: Rational
-    a: AnyPoint
     tables: dict[int, dict[AnyPoint, Fraction]]
-    source: Callable
+    a: Optional[AnyPoint] = None
+    source: Optional[Callable] = field(default=None, compare=False)
+    exceptions: tuple[int, ...] = ()
+    anchors: tuple[tuple[int, AnyPoint], ...] = ()
 
     def factor(self, p: int, e: AnyPoint) -> Fraction:
         if e in self.tables.get(p, ()):
             return self.tables[p][e]
+        if self.source is None:
+            raise ValueError(f"the system has no F_{p}{e}")
         probe = []
         for ai, ei in zip(_coords(self.a), _coords(e)):
             na = nt.nu(p, ai)
@@ -556,16 +563,27 @@ class SelbergFactorization:
 
     def reconstruct(self, pt: AnyPoint) -> Fraction:
         """constant * product of F_p(nu_p(pt)) over the primes of pt: 0, and
-        no factor read, when a does not divide pt componentwise, as some
-        F_p(e) with e_i < nu_p(a_i) is 0; else a's primes are among pt's."""
-        coords = _coords(pt)
-        if any(x % ai for x, ai in zip(coords, _coords(self.a))):
+        no factor read, when a does not divide pt componentwise (some F_p(e)
+        with e_i < nu_p(a_i) is 0; else a's primes are among pt's) or an
+        exception prime does not divide pt's product. predict is the same."""
+        like = self.a if self.a is not None else next(
+            (e for col in self.tables.values() for e in col), pt)
+        coords, want = _coords(pt), _coords(like)
+        if isinstance(pt, int) != isinstance(like, int) or len(coords) != len(want):
+            kind = "an int" if isinstance(like, int) else f"a {len(want)}-tuple"
+            raise ValueError(f"the system evaluates {kind}, got {pt!r}")
+        if self.a is not None and any(map(operator.mod, coords, want)) or any(
+                math.prod(coords) % p for p in self.exceptions):
             return Fraction(0)
-        ps = {p for x in coords for p, _ in nt.factorize(x)}
         val = Fraction(self.constant)
-        for p in sorted(ps):
-            val *= self.factor(p, _like(pt, _signature(p, coords)))
+        for p in sorted({p for x in coords for p, _ in nt.factorize(x)}):
+            e = _like(pt, _signature(p, coords))
+            if self.source is None and e not in self.tables.get(p, ()):
+                raise ValueError(f"the system has no F_{p}{e}, which {pt} needs")
+            val *= self.factor(p, e)
         return val
+
+    predict = reconstruct
 
 
 def extract_selberg(
@@ -607,7 +625,7 @@ def extract_selberg(
             itertools.product(*map(range, map(len, axes))),
             (None if None in N else N for N in itertools.product(*axes)))
         tables[p] = {e: zero if N is None else one if N == unit else ratio(read(N)) for e, N in pts}
-    return SelbergFactorization(rep.c, a, tables, f)
+    return SelbergFactorization(rep.c, tables, a, f)
 
 
 def _classify(f: Callable, window: int, semi: ClassReport, laws: tuple, multi: tuple = ()) -> dict:

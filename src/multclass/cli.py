@@ -49,13 +49,13 @@ from .classes import (
     SEMIMULTIPLICATIVE,
     AnyPoint,
     ClassReport,
+    SelbergFactorization,
     Witness,
     check_rearick,
     classify_all,
 )
 from .multivar import (
     MultiArithFn,
-    SelbergSystem,
     classify_all_u,
     dirichlet_u,
     selberg_not_semimultiplicative,
@@ -75,6 +75,8 @@ class FnSpecError(ValueError):
 # after optional spaces, empty when neither ',' nor ')' follows
 _NAME = re.compile(r" *([a-z0-9_-]*)(?::([0-9/-]*))?")
 _SEP = re.compile(r" *([,)]?)")
+# deepest "(" nesting of a spec: each level adds stack frames to parse and evaluate
+SPEC_DEPTH_LIMIT = 100
 
 # spec token -> compose kind, the inverse of the tokens compose puts in names
 _UNARY_KIND = {token: kind for kind, (token, _) in _COMPOSE.items()}
@@ -173,8 +175,8 @@ def _syntax_error(msg: str, text: str, pos: int) -> FnSpecError:
     return FnSpecError(f"{msg} (at position {pos} in {text!r})")
 
 
-def _expr(text: str, pos: int) -> tuple[tuple, int]:
-    """The (name, param, args) node starting at pos, and the position after it."""
+def _expr(text: str, pos: int, depth: int = 0) -> tuple[tuple, int]:
+    """The (name, param, args) node at pos, depth levels deep, and the position after it."""
     m = _NAME.match(text, pos)
     name, param = m.groups()
     if not name:
@@ -183,9 +185,11 @@ def _expr(text: str, pos: int) -> tuple[tuple, int]:
         raise _syntax_error(f"{name}: expected a parameter after ':'", text, m.end())
     pos, args = m.end(), []
     if text.startswith("(", pos):
+        if depth == SPEC_DEPTH_LIMIT:
+            raise FnSpecError(f"specs nest at most {SPEC_DEPTH_LIMIT} deep (at position {pos})")
         sep = ","
         while sep == ",":
-            node, pos = _expr(text, pos + 1)
+            node, pos = _expr(text, pos + 1, depth + 1)
             args.append(node)
             m = _SEP.match(text, pos)
             sep, pos = m.group(1), m.start(1)
@@ -254,9 +258,9 @@ def _witness_text(obj: Optional[dict]) -> str:
     return s
 
 
-def _tables_obj(fac) -> dict:
-    """A factor system with per-prime tables: a one- or multivariable
-    factorization (with its shift) or a SelbergSystem (with its gauge)."""
+def _tables_obj(fac: SelbergFactorization) -> dict:
+    """A factor system with per-prime tables, and its shift when it has one
+    (selberg, factorization), else its gauge (system)."""
     out = {
         "constant": format_rational(fac.constant),
         "tables": {
@@ -264,11 +268,11 @@ def _tables_obj(fac) -> dict:
             for p, col in sorted(fac.tables.items())
         },
     }
-    if isinstance(fac, SelbergSystem):
+    if fac.a is not None:
+        out["a"] = _point_obj(fac.a)
+    else:
         out["exceptions"] = list(fac.exceptions)
         out["anchors"] = [[p, list(sig)] for p, sig in fac.anchors]
-    else:
-        out["a"] = _point_obj(fac.a)
     return out
 
 

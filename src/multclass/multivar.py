@@ -7,9 +7,9 @@ products of the coordinates. The laws are entries of classes.LAWS
 (LAW_*_U and LAW_FORCED_SHIFT), and the checkers here run them through the
 same sweep as the one-variable checkers, over tuple points; witnesses and
 reports are the classes module's Witness and ClassReport, and
-recheck_multi_witness is classes.recheck_witness. The shift-based factor
-system is classes.SelbergFactorization with tuple points, read off by
-classes.extract_selberg.
+recheck_multi_witness is classes.recheck_witness. Every factor system, the
+shift-based one that classes.extract_selberg reads off and the one that
+check_selberg_u fits, is a classes.SelbergFactorization with tuple points.
 
 In several variables the Selberg class is strictly larger than the
 semimultiplicative class, so deciding Selberg membership cannot go through
@@ -76,10 +76,8 @@ from .classes import (
     recheck_witness,
 )
 
-# One recheck and one factor-system type serve every arity; the names stay
-# for existing callers.
+# one recheck serves every arity; the name stays for existing callers
 recheck_multi_witness = recheck_witness
-MultiSelbergFactorization = SelbergFactorization
 
 Point = tuple[int, ...]
 
@@ -219,30 +217,6 @@ def extract_selberg_u(f: MultiArithFn, window: int, report: Optional[ClassReport
     return extract_selberg(f, window, report or check_semimultiplicative_u(f, window))
 
 
-@dataclass
-class SelbergSystem:
-    """A concrete per-prime factor system fitted to one window.
-
-    predict() multiplies the constant by every stored column's entry at the
-    point's signature, so rescaling one column and compensating in another
-    leaves all predictions unchanged (the gauge freedom); a point whose row
-    needs an entry the window did not store raises ValueError. exceptions
-    are the primes whose column could not be anchored to F_p(0,...,0) = 1.
-    """
-
-    constant: Fraction
-    tables: dict[int, dict[Point, Fraction]]
-    exceptions: tuple[int, ...]
-    anchors: tuple[tuple[int, Point], ...]
-
-    def predict(self, pt: Point) -> Fraction:
-        sigs = dict.fromkeys(self.tables, (0,) * len(pt)) | dict(_row(pt))
-        for p, s in sigs.items():
-            if s not in self.tables.get(p, ()):
-                raise ValueError(f"the system has no F_{p}{s}, which {pt} needs")
-        return math.prod((self.tables[p][s] for p, s in sigs.items()), start=self.constant)
-
-
 def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
     """Decide whether any per-prime factor system matches the window.
 
@@ -355,7 +329,7 @@ def check_selberg_u(f: MultiArithFn, window: int) -> ClassReport:
             s: known[(p, s)] if s in owner[p] else zero if any(s) or p in exceptions else one
             for s in itertools.product(range(top + 1), repeat=u)
         }
-    system = SelbergSystem(constant, tables, exceptions, anchors)
+    system = SelbergFactorization(constant, tables, exceptions=exceptions, anchors=anchors)
     return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
 
 

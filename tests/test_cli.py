@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -16,7 +17,7 @@ from multclass.arith import (
     scale,
     unitary,
 )
-from multclass.cli import FnSpecError, parse_fn_spec, run
+from multclass.cli import SPEC_DEPTH_LIMIT, FnSpecError, parse_fn_spec, run
 from multclass.corpus import corpus
 from multclass.multivar import tensor
 from multclass.ramanujan import c_bar_fn, c_fn
@@ -181,6 +182,26 @@ def test_usage_errors_exit_two(capsys):
     ):
         assert run(["verify", *argv]) == 2, argv
         assert capsys.readouterr().err == f"error: {err}\n"
+
+
+def test_spec_nesting_limit(capsys):
+    # d_(k+1)(8) = C(k + 3, 3) for k nested dirichlet(one, ...) around one
+    def chain(depth):
+        return "dirichlet(one," * depth + "one" + ")" * depth
+
+    at, past = chain(SPEC_DEPTH_LIMIT), chain(SPEC_DEPTH_LIMIT + 1)
+    rc, out = run_capture(capsys, ["eval", "--fn", at, "--n", "8", "--no-timing"])
+    assert rc == 0 and out.splitlines()[1] == f"8\t{math.comb(SPEC_DEPTH_LIMIT + 3, 3)}"
+    assert run(["classify", "--fn", at, "--window", "8", "--no-timing"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    # the message names the position of the first "(" past the limit
+    scales = "scale:2(" * 500 + "phi" + ")" * 500
+    for spec, pos in ((past, 14 * SPEC_DEPTH_LIMIT + 9), (scales, 8 * SPEC_DEPTH_LIMIT + 7)):
+        for argv in (["eval", "--fn", spec], ["classify", "--fn", spec, "--window", "8"]):
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: specs nest at most {SPEC_DEPTH_LIMIT} deep (at position {pos})\n"
+            )
 
 
 def test_sieve_bound_refusal_exits_two(capsys):

@@ -1,16 +1,17 @@
 import math
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import compress, product
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-import multclass
 from multclass import multivar
 from multclass import numtheory as nt
 from multclass.arith import classical, scale
@@ -31,17 +32,23 @@ from multclass.classes import (
     SELBERG,
     SEMIMULTIPLICATIVE,
     ClassReport,
+    SelbergFactorization,
     Witness,
     _WindowValues,
+    _coords,
+    _like,
     _pmul,
     _report,
     _signature,
     _sweep,
+    check_semimultiplicative,
+    classify_all,
     coprime_pairs,
+    extract_selberg,
 )
+from multclass.corpus import corpus
 from multclass.multivar import (
     MultiArithFn,
-    SelbergSystem,
     _coprime_tuple_pairs,
     _row,
     check_multiplicative_u,
@@ -219,8 +226,31 @@ def test_extract_selberg_u_arity_three():
     assert fac.reconstruct((8, 7, 36)) == t((8, 7, 36))
 
 
-def test_one_factor_system_type():
-    assert multclass.MultiSelbergFactorization is multclass.SelbergFactorization
+@pytest.mark.parametrize(
+    "evaluate, pt, kind",
+    [
+        (lambda: extract_selberg(phi, 16).reconstruct, (4, 6), "an int"),
+        (lambda: extract_selberg_u(tensor(c_fn(4), c_fn(1)), 8).reconstruct, (4, 1, 1), "a 2-tuple"),
+        (lambda: check_selberg_u(tensor(phi, phi), 6).system.predict, 5, "a 2-tuple"),
+    ],
+    ids=["one-variable-at-a-pair", "pair-at-a-triple", "system-at-an-int"],
+)
+def test_factor_systems_refuse_points_of_another_kind(evaluate, pt, kind):
+    # zip once cut the first two points to the system's arity, and len()
+    # failed on the int
+    with pytest.raises(ValueError, match=re.escape(f"the system evaluates {kind}, got {pt!r}")):
+        evaluate()(pt)
+
+
+def test_factor_systems_compare_by_value():
+    t = tensor(phi, phi)
+    assert check_selberg_u(t, 6) == check_selberg_u(t, 6)
+    assert check_selberg_u(t, 6) != check_selberg_u(tensor(phi, mobius), 6)
+    assert classify_all(phi, 16) == classify_all(phi, 16)
+    assert classify_all_u(t, 6) == classify_all_u(t, 6)
+    # the function a factorization was read off is not part of its value
+    fac = extract_selberg(phi, 16)
+    assert replace(fac, source=mobius) == fac and fac != extract_selberg(phi, 8)
 
 
 def test_selberg_system_gauge_check():
@@ -607,7 +637,7 @@ def dense_selberg_u(f, window):
             else:
                 col[s] = known[(p, s)]
         tables[p] = col
-    system = SelbergSystem(constant, tables, exceptions, tuple(anchors))
+    system = SelbergFactorization(constant, tables, exceptions=exceptions, anchors=tuple(anchors))
     return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
 
 
@@ -667,3 +697,112 @@ def test_selberg_u_reads_each_box_value_once_under_the_memo():
         f = Checked("hole", 2, hole)
         assert check_selberg_u(f, window).verdict == verdict
         assert reads == Counter(dict.fromkeys(product(range(1, window + 1), repeat=2), 1))
+
+
+def system_predict(system, pt):
+    """SelbergSystem.predict, kept as it was before one type held every
+    factor system: the constant times every column's entry at pt."""
+    sigs = dict.fromkeys(system.tables, (0,) * len(pt)) | dict(_row(pt))
+    for p, s in sigs.items():
+        if s not in system.tables.get(p, ()):
+            raise ValueError(f"the system has no F_{p}{s}, which {pt} needs")
+    return math.prod((system.tables[p][s] for p, s in sigs.items()), start=system.constant)
+
+
+def factorization_reconstruct(fac, pt):
+    """SelbergFactorization.reconstruct, with its factor(), kept as it was
+    before one type held every factor system."""
+
+    def factor(p, e):
+        if e in fac.tables.get(p, ()):
+            return fac.tables[p][e]
+        probe = []
+        for ai, ei in zip(_coords(fac.a), _coords(e)):
+            na = nt.nu(p, ai)
+            if ei < na:
+                return Fraction(0)
+            probe.append(ai * p ** (ei - na))
+        return Fraction(fac.source(_like(fac.a, probe))) / Fraction(fac.constant)
+
+    coords = _coords(pt)
+    if any(x % ai for x, ai in zip(coords, _coords(fac.a))):
+        return Fraction(0)
+    ps = {p for x in coords for p, _ in nt.factorize(x)}
+    val = Fraction(fac.constant)
+    for p in sorted(ps):
+        val *= factor(p, _like(pt, _signature(p, coords)))
+    return val
+
+
+def outcome(evaluate, pt):
+    """The value as repr, so that its type counts, or the ValueError's text."""
+    try:
+        return repr(evaluate(pt))
+    except ValueError as exc:
+        return "raises", str(exc)
+
+
+def window_and_past(arity, window, seed, count=40):
+    """Every window point, then count random points of coordinates up to
+    3W + 3, past the window in most draws."""
+    rng = random.Random(seed)
+    box = product(range(1, window + 1), repeat=arity)
+    past = [tuple(rng.randint(1, 3 * window + 3) for _ in range(arity)) for _ in range(count)]
+    return [*box, *past]
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_prime_products(), st.integers(0, 2**32))
+@example(flat_product(2, 6, 1, exceptions=(2,)), 0)
+@example(flat_product(3, 5, 2, exceptions=(2, 3)), 1)
+@example(flat_product(2, 12, Fraction(-3, 2)), 2)
+def test_one_evaluator_matches_the_system_predict(spec, seed):
+    # the product without its changed value, so that the solver fits a system
+    f, (arity, window) = build_product(*spec[:5], {}), spec[:2]
+    try:
+        system = check_selberg_u(f, window).system
+    except RuntimeError:  # an underdetermined window, ROADMAP item 1
+        return
+    if system is None:
+        return
+    for pt in window_and_past(arity, window, seed):
+        got, want = outcome(system.predict, pt), outcome(partial(system_predict, system), pt)
+        if max(pt) > window and any(math.prod(pt) % p for p in system.exceptions):
+            # F_p(0, ..., 0) = 0 at such a prime: 0 without reading a factor,
+            # where the old predict raised for a factor the window lacks
+            assert got == repr(Fraction(0)) and want in (got, ("raises", want[1])), pt
+        else:
+            assert got == want, pt
+
+
+# one-variable functions by least support point: tensors of them have the
+# shifts (1, 1), (2, 1) and (12, 2)
+SHIFTED = {1: (mobius, phi, scale(mobius, 2)), 2: (c_fn(4), c_fn(12)), 12: (c_fn(72),)}
+CORPUS = corpus()
+
+
+@st.composite
+def factorizations(draw):
+    """A SelbergFactorization from extract_selberg, of a one-variable
+    corpus function or of a tensor with one of the shifts above, with the
+    arity and window it was read on."""
+    if draw(st.booleans()):
+        f, window = draw(st.sampled_from(CORPUS)), draw(st.integers(1, 48))
+        arity = 1
+    else:
+        shift = draw(st.sampled_from([(1, 1), (2, 1), (12, 2)]))
+        f = tensor(*(draw(st.sampled_from(SHIFTED[a])) for a in shift))
+        window, arity = draw(st.integers(max(shift), 16)), 2
+    rep = (check_semimultiplicative_u if arity > 1 else check_semimultiplicative)(f, window)
+    assume(rep.verdict == CONSISTENT)
+    return extract_selberg(f, window, report=rep), arity, window
+
+
+@settings(max_examples=100, deadline=None)
+@given(factorizations(), st.integers(0, 2**32))
+def test_one_evaluator_matches_the_factorization_reconstruct(fac_spec, seed):
+    fac, arity, window = fac_spec
+    for pt in window_and_past(arity, window, seed):
+        pt = pt[0] if arity == 1 else pt
+        want = outcome(partial(factorization_reconstruct, fac), pt)
+        assert outcome(fac.reconstruct, pt) == want == outcome(fac.predict, pt), pt
