@@ -1,4 +1,4 @@
-"""Window classifiers for the multiplicative-function hierarchy.
+"""Window classifiers for the multiplicative-function hierarchy, in every arity.
 
 Each checker sweeps every instance of its defining identity that fits in a
 finite window and returns a ClassReport. A "consistent" verdict means no
@@ -6,22 +6,28 @@ counterexample exists up to the window; it is finite evidence, not a proof.
 A "refuted" verdict always carries a witness that recheck_witness
 re-evaluates from scratch.
 
-Every law is defined here, once, in LAWS, keyed by its LAW_* text: it maps
-an instance (m, n, shift) to (lhs, rhs) and says when that pair is a
-violation. Points are ints here and tuples in multivar, whose checkers use
-the same table, sweeps and recheck. The coprime-pair classes share one
-identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1, a = 1;
-quasimultiplicative is c = f(1), a = 1; semimultiplicative is c = f(a) at
-the shift a. One engine, _least_sweep, decides the shifted law in every
-arity: one iterator, coprime_pairs, hands it each int or box point N once
-with its least-prime split, and it stores f(a N) and checks that split in
-one step. Only a failure runs _sweep for the least witness: by (m*n, m)
-for one-variable pairs, lexicographically for tuple pairs. _coprime_row
+Points are ints in one variable. For a function with an arity u
+(multivar.MultiArithFn), which the _u checkers take, they are u-tuples in
+the window box [1, W]^u, with componentwise products and coprimality read
+off the products of the coordinates. Every law is defined here, once, in
+LAWS, keyed by its LAW_* text: it maps an instance (m, n, shift) to
+(lhs, rhs) and says when that pair is a violation. The coprime-pair classes
+share one identity, c f(a m n) = f(a m) f(a n): multiplicative is c = 1,
+a = 1; quasimultiplicative is c = f(1), a = 1; semimultiplicative is
+c = f(a) at the shift a, for tuples the componentwise gcd of the support.
+One engine, _least_sweep, decides the shifted law in every arity: one
+iterator, coprime_pairs, hands it each int or box point N once with its
+least-prime split, and it stores f(a N) and checks that split in one step.
+Only a failure runs _sweep for the least witness: by (m*n, m) for
+one-variable pairs, lexicographically for tuple pairs (_coprime_tuple_pairs,
+from the pairs whose product reaches the failing point's). _coprime_row
 reads the other two rows off f(unit) and that sweep; check_rearick decides
 its law by Rearick's theorem and sweeps every pair only for a witness. One
 extractor, extract_selberg, reads every arity's SelbergFactorization off
-the sweep's table, prime by prime; the same type holds the factor system
-that multivar.check_selberg_u fits, and evaluates every one of them.
+the sweep's table, prime by prime. In several variables the Selberg class
+is strictly larger than the semimultiplicative one, so no shift decides it:
+check_selberg_u, the tuple solver, fits a factor system of the same type to
+the window's zero pattern and values. That type evaluates every system.
 
 Checkers only read their input function, hence are safe to run
 concurrently.
@@ -35,10 +41,11 @@ import operator
 from array import array
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from . import numtheory as nt
-from .arith import ArithFn, Rational
+from .arith import MEMO_SIZE, ArithFn, Rational
 
 MULTIPLICATIVE = "multiplicative"
 QUASIMULTIPLICATIVE = "quasimultiplicative"
@@ -65,7 +72,8 @@ LAW_COVER = "every zero must follow from a per-prime zero pattern"
 LAW_RATIO = "window values must equal constant * product of per-prime factors"
 
 # A point is an int in one variable and a tuple of ints in several.
-AnyPoint = Union[int, tuple[int, ...]]
+Point = tuple[int, ...]
+AnyPoint = Union[int, Point]
 
 
 @dataclass(frozen=True)
@@ -302,6 +310,32 @@ def _splits(m: int, n: int) -> Iterator[tuple[int, int]]:
     return ((d, m * n // d) for d in nt.unitary_divisors(m * n))
 
 
+def _coprime_tuple_pairs(caps: Sequence[int], least: int = 1) -> Iterator[tuple[Point, Point]]:
+    """Pairs (n, m) with n_i * m_i <= caps[i], gcd(prod n, prod m) = 1 and
+    prod n * prod m >= least, in lexicographic order of (n, m)."""
+    for nvec in itertools.product(*(range(1, c + 1) for c in caps)):
+        pn = math.prod(nvec)
+        for mvec in itertools.product(*(range(1, c // x + 1) for c, x in zip(caps, nvec))):
+            pm = math.prod(mvec)
+            if pn * pm >= least and math.gcd(pn, pm) == 1:
+                yield nvec, mvec
+
+
+def _points(window: int, u: int) -> Iterator[Point]:
+    return itertools.product(range(1, window + 1), repeat=u)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _row(pt: Point) -> tuple[tuple[int, Point], ...]:
+    """(p, _signature(p, pt)) for each prime p of the product of pt's
+    coordinates, ascending: pt's sparse row of signatures."""
+    exps: dict[int, list[int]] = {}
+    for i, x in enumerate(pt):
+        for p, e in nt._walk(x):
+            exps.setdefault(p, [0] * len(pt))[i] = e
+    return tuple(nt._pair(p, tuple(exps[p])) for p in sorted(exps))
+
+
 def _least_sweep(
     f: Callable,
     law: str,
@@ -388,37 +422,44 @@ class _WindowValues(dict):
         return value
 
 
+# the law of each coprime row, by whether f has an arity
+_ROW_LAWS = {MULTIPLICATIVE: (LAW_MULT, LAW_MULT_U), QUASIMULTIPLICATIVE: (LAW_QUASI, LAW_QUASI_U)}
+
+
 def _coprime_row(
-    klass: str, law: str, f: Callable, window: int, semi: Callable[[Callable, int], ClassReport]
+    klass: str, f: Callable, window: int, semi: Optional[ClassReport] = None
 ) -> ClassReport:
-    """The multiplicative (law LAW_MULT(_U)) or quasimultiplicative (law
-    LAW_QUASI(_U)) row of f, in any arity, decided by f(unit) first:
+    """The multiplicative or quasimultiplicative row of f, in any arity,
+    with its law off _ROW_LAWS, decided by f(unit) first:
     - f(unit) = 0: with no support in the window, quasi is identically
       zero and mult vacuously consistent; else both fail at (unit, k), k
       the least support point (lexicographic for tuples), quasi by
       LAW_UNIT(_U), as k forces c = f(unit) = 0.
     - f(unit) not in {0, 1} refutes mult at (unit, unit).
-    - Otherwise the row's instances and values are those of semi(f, window),
-      the semimultiplicative report, at a = unit with c = f(unit): it takes
-      its verdict, and the law evaluated afresh at its witness pair, swapped
-      for tuples (tuple rows read (n, m)). Only this case calls semi."""
-    tuples, scaled = hasattr(f, "arity"), LAWS[law].scaled
-    arity = f.arity if tuples else 1
+    - Otherwise the row's instances and values are those of semi, f's
+      semimultiplicative report, at a = unit with c = f(unit): it takes its
+      verdict, and the law evaluated afresh at its witness pair, swapped for
+      tuples (tuple rows read (n, m)). Only this case runs the checker of
+      f's arity, and only when no semi is handed in."""
+    tuples = hasattr(f, "arity")
+    law, arity = _ROW_LAWS[klass][tuples], f.arity if tuples else 1
+    scaled = LAWS[law].scaled
     unit, mul = ((1,) * arity, _pmul) if tuples else (1, operator.mul)
     values = _WindowValues(f, window).__getitem__
     c = values(unit)
     if c == 0:
-        axis = range(1, window + 1)
-        k = _least_support(values, itertools.product(axis, repeat=arity) if tuples else axis)
+        k = _least_support(values, _points(window, arity) if tuples else range(1, window + 1))
         if k is None:
             verdict = IDENTICALLY_ZERO if scaled else CONSISTENT
             return ClassReport(klass, verdict, window, arity=arity)
-        law = (LAW_UNIT_U if tuples else LAW_UNIT) if scaled else law
+        law = (LAW_UNIT, LAW_UNIT_U)[tuples] if scaled else law
         pairs = [(k, unit) if tuples else (unit, k)]
     elif c != 1 and not scaled:
         pairs = [(unit, unit)]
     else:
-        w = semi(f, window).witness
+        if semi is None:
+            semi = (check_semimultiplicative_u if tuples else check_semimultiplicative)(f, window)
+        w = semi.witness
         pairs = [] if w is None else [(w.n, w.m) if tuples else (w.m, w.n)]
     w = _sweep(values, law, pairs, mul, c)
     return _report(klass, window, w, arity=arity, c=c if scaled and c != 0 else None)
@@ -427,13 +468,25 @@ def _coprime_row(
 def check_multiplicative(f: ArithFn, window: int) -> ClassReport:
     """Decide f(mn) = f(m) f(n) over coprime m, n with mn <= window."""
     _require_window(f, window, False, "check_multiplicative_u")
-    return _coprime_row(MULTIPLICATIVE, LAW_MULT, f, window, check_semimultiplicative)
+    return _coprime_row(MULTIPLICATIVE, f, window)
+
+
+def check_multiplicative_u(f: Callable, window: int) -> ClassReport:
+    """Decide f(n.m) = f(n) f(m) over pairs with coprime coordinate products."""
+    _require_window(f, window, True, "check_multiplicative")
+    return _coprime_row(MULTIPLICATIVE, f, window)
 
 
 def check_quasimultiplicative(f: ArithFn, window: int) -> ClassReport:
     """Decide c f(mn) = f(m) f(n) over coprime pairs, c forced to f(1)."""
     _require_window(f, window, False, "check_quasimultiplicative_u")
-    return _coprime_row(QUASIMULTIPLICATIVE, LAW_QUASI, f, window, check_semimultiplicative)
+    return _coprime_row(QUASIMULTIPLICATIVE, f, window)
+
+
+def check_quasimultiplicative_u(f: Callable, window: int) -> ClassReport:
+    """Decide c f(n.m) = f(n) f(m) with the constant forced to f(1, ..., 1)."""
+    _require_window(f, window, True, "check_quasimultiplicative")
+    return _coprime_row(QUASIMULTIPLICATIVE, f, window)
 
 
 def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
@@ -452,6 +505,43 @@ def check_semimultiplicative(f: ArithFn, window: int) -> ClassReport:
     fa = values(a)
     w, F = _least_sweep(values, LAW_SHIFTED, window // a, _splits, fa, a)
     return _report(SEMIMULTIPLICATIVE, window, w, c=fa, a=a, table=F)
+
+
+def check_semimultiplicative_u(f: Callable, window: int) -> ClassReport:
+    """Determine the shift forced by the support, then sweep the shifted law.
+
+    Any admissible shift must divide every support point componentwise and
+    itself carry a nonzero value; the componentwise gcd of the support is
+    therefore the only candidate. The forcing points recorded in the report
+    are the support points at which the running gcd drops.
+    """
+    _require_window(f, window, True, "check_semimultiplicative")
+    u = f.arity
+    values = _WindowValues(f, window).__getitem__
+    support_iter = (pt for pt in _points(window, u) if values(pt) != 0)
+    first = next(support_iter, None)
+    if first is None:
+        return ClassReport(SEMIMULTIPLICATIVE, IDENTICALLY_ZERO, window, arity=u)
+    avec, forcing = first, [first]
+    for pt in support_iter:
+        new = tuple(math.gcd(a, b) for a, b in zip(avec, pt))
+        if new != avec:
+            forcing.append(pt)
+            avec = new
+        if avec == (1,) * u:
+            break
+    known = {"arity": u, "a": avec, "forcing": tuple(forcing)}
+    w = _sweep(values, LAW_FORCED_SHIFT, [(forcing[0], avec)], _pmul)
+    if w is not None:
+        rep = _report(SEMIMULTIPLICATIVE, window, w, **known)
+        chain = "; ".join(f"f{pt} != 0 forces a | {pt}" for pt in forcing)
+        rep.reason = f"{chain}; {rep.reason}"
+        return rep
+    fa = values(avec)
+    caps = tuple(window // ai for ai in avec)
+    unproven = lambda q, r: _coprime_tuple_pairs(caps, math.prod(q) * math.prod(r))
+    w, F = _least_sweep(values, LAW_SHIFTED_U, caps, unproven, fa, avec)
+    return _report(SEMIMULTIPLICATIVE, window, w, c=fa, table=F, **known)
 
 
 def _wide_splits(bound: int, block: int = 1 << 20) -> Iterator[tuple[int, int]]:
@@ -538,6 +628,7 @@ class SelbergFactorization:
     point a_i p^(e_i - nu_p(a_i)) lies past the window. check_selberg_u fills
     exceptions, the primes with F_p(0, ..., 0) = 0, and anchors, its gauge
     choices F_p(e) = 1. Any other prime absent from a point contributes 1.
+    arity is the length of the tuples a system without a shift evaluates.
     Systems compare by value, source aside.
     """
 
@@ -547,6 +638,7 @@ class SelbergFactorization:
     source: Optional[Callable] = field(default=None, compare=False)
     exceptions: tuple[int, ...] = ()
     anchors: tuple[tuple[int, AnyPoint], ...] = ()
+    arity: int = 1
 
     def factor(self, p: int, e: AnyPoint) -> Fraction:
         if e in self.tables.get(p, ()):
@@ -566,8 +658,7 @@ class SelbergFactorization:
         no factor read, when a does not divide pt componentwise (some F_p(e)
         with e_i < nu_p(a_i) is 0; else a's primes are among pt's) or an
         exception prime does not divide pt's product. predict is the same."""
-        like = self.a if self.a is not None else next(
-            (e for col in self.tables.values() for e in col), pt)
+        like = self.a if self.a is not None else (1,) * self.arity
         coords, want = _coords(pt), _coords(like)
         if isinstance(pt, int) != isinstance(like, int) or len(coords) != len(want):
             kind = "an int" if isinstance(like, int) else f"a {len(want)}-tuple"
@@ -625,25 +716,147 @@ def extract_selberg(
             itertools.product(*map(range, map(len, axes))),
             (None if None in N else N for N in itertools.product(*axes)))
         tables[p] = {e: zero if N is None else one if N == unit else ratio(read(N)) for e, N in pts}
-    return SelbergFactorization(rep.c, tables, a, f)
+    return SelbergFactorization(rep.c, tables, a, f, arity=arity)
 
 
-def _classify(f: Callable, window: int, semi: ClassReport, laws: tuple, multi: tuple = ()) -> dict:
-    """The four rows of f in any arity around semi, its semimultiplicative
-    report. The quasimultiplicative and multiplicative rows (laws) are read
-    off f(unit) and semi (_coprime_row). A consistent semi's factor system
-    goes, in one variable, on the Selberg row, there semi's own; with an
-    arity, on semi, and multi = (extract, check_selberg) decides the row."""
-    quasi, mult = (
-        _coprime_row(klass, law, f, window, lambda f, w: semi)
-        for klass, law in zip((QUASIMULTIPLICATIVE, MULTIPLICATIVE), laws)
-    )
-    extract, check_selberg = multi or (extract_selberg, None)
+def extract_selberg_u(f: Callable, window: int, report: Optional[ClassReport] = None):
+    """extract_selberg, with the multivariable check as the default report."""
+    _require_window(f, window, True, "extract_selberg")
+    return extract_selberg(f, window, report or check_semimultiplicative_u(f, window))
+
+
+def check_selberg_u(f: Callable, window: int) -> ClassReport:
+    """Decide whether any per-prime factor system matches the window.
+
+    Each box point is read once, under f's memo, with its sparse row
+    (_row). A p-signature is live when a support point carries it, else a
+    candidate zero of F_p; (0, ..., 0) is one exactly for the exception
+    primes, which divide every support product.
+
+    Phase 1 (zero pattern): every zero of f must carry a candidate zero (an
+    exception prime does not divide its product, or a prime of its row has
+    a dead signature there); no factor system can produce any other zero.
+
+    Phase 2 (ratios): on the support, anchor F_p(0,...,0) = 1 for every
+    prime whose zero pattern allows it (the rest are the exception primes;
+    gauge freedom lets all but the first of them take one more unit
+    anchor), propagate single-unknown product equations to a fixpoint (a
+    pass keeps for the next only the equations left with two unknowns or
+    more; support values, and so the factors they define, are nonzero),
+    then verify every support equation in integer cross products. The first
+    failing point, together with the equations that pinned its factors,
+    forms the inconsistent set.
+    """
+    _require_window(f, window, True, "classify_all")
+    u = f.arity
+    primes = nt.primes_up_to(window)
+    # owner[p][e]: the first support point of nonzero p-signature e;
+    # divides[p]: how many support points p divides
+    owner: dict[int, dict[Point, Point]] = {p: {} for p in primes}
+    divides = dict.fromkeys(primes, 0)
+    equations, zeros = [], []  # (pt, value, row) on the support, and off it
+    for pt in _points(window, u):
+        value = f._eval(pt)
+        (equations if value != 0 else zeros).append((pt, value, _row(pt)))
+    for pt, _, row in equations:
+        for p, s in row:
+            owner[p].setdefault(s, pt)
+            divides[p] += 1
+    if not equations:
+        return ClassReport(SELBERG, IDENTICALLY_ZERO, window, arity=u)
+    exceptions = tuple(p for p in primes if divides[p] == len(equations))
+
+    # phase 1: every zero must be explained by some candidate zero signature
+    for pt, value, row in zeros:
+        sigs = dict(row)
+        if all(p in sigs for p in exceptions) and all(s in owner[p] for p, s in row):
+            # each prime <= W (2 at least, as W > 1) shares pt's signature
+            sharers = [
+                (p, owner[p][sigs[p]] if p in sigs else
+                 next(q for q, _, _ in equations if math.prod(q) % p))
+                for p in primes
+            ]
+            q0 = sharers[0][1]
+            w = Witness(q0, pt, value, next(v for q, v, _ in equations if q == q0), LAW_COVER)
+            detail = "; ".join(f"f{q} != 0 shares the {p}-signature" for p, q in sharers)
+            return ClassReport(
+                SELBERG, REFUTED, window, arity=u, witness=w,
+                reason=f"f{pt} = 0 is not explained by any per-prime zero pattern ({detail})",
+            )
+
+    ones = (1,) * u
+    constant = Fraction(equations[0][1]) if equations[0][0] == ones else Fraction(1)
+    anchors = tuple((p, min(owner[p])) for p in exceptions[1:])
+    known: dict[tuple[int, Point], Fraction] = dict.fromkeys(anchors, Fraction(1))
+    defining: dict[tuple[int, Point], Point] = {}
+
+    todo, changed = equations, True
+    while changed:
+        changed, scan, todo = False, todo, []
+        for eq in scan:
+            unknown = [key for key in eq[2] if key not in known]
+            if len(unknown) > 1:
+                todo.append(eq)
+            elif unknown:
+                rest = (known[key] for key in eq[2] if key != unknown[0])
+                known[unknown[0]] = eq[1] / math.prod(rest, start=constant)
+                defining[unknown[0]] = eq[0]
+                changed = True
+    if todo:
+        raise RuntimeError(
+            f"window {window} leaves the factor system underdetermined at "
+            f"{todo[0][0]}; enlarge the window"
+        )
+
+    cn, cd = constant.as_integer_ratio()
+    for pt, value, factors in equations:
+        pn, pd = cn, cd
+        for key in factors:
+            kn, kd = known[key].as_integer_ratio()
+            pn, pd = pn * kn, pd * kd
+        vn, vd = value.as_integer_ratio()
+        if pn * vd != vn * pd:
+            pred = Fraction(pn, pd)
+            origin = "; ".join(
+                f"F_{p}{sig} = {known[(p, sig)]} pinned at {defining.get((p, sig), 'anchor')}"
+                for p, sig in factors
+            )
+            return ClassReport(
+                SELBERG, REFUTED, window, arity=u,
+                witness=Witness(None, pt, Fraction(value), pred, LAW_RATIO),
+                reason=(f"with constant {constant} and {origin}, the product at {pt} "
+                        f"is {pred} but f{pt} = {Fraction(value)}"),
+            )
+
+    tables: dict[int, dict[Point, Fraction]] = {}
+    zero, one = Fraction(0), Fraction(1)
+    for p in primes:
+        # keyed by {0, ..., top}^u, top the largest exponent of p in the window
+        top = next(e for e in itertools.count(1) if p ** (e + 1) > window)
+        tables[p] = {
+            s: known[(p, s)] if s in owner[p] else zero if any(s) or p in exceptions else one
+            for s in itertools.product(range(top + 1), repeat=u)
+        }
+    system = SelbergFactorization(constant, tables, exceptions=exceptions, anchors=anchors, arity=u)
+    return ClassReport(SELBERG, CONSISTENT, window, arity=u, system=system)
+
+
+def _classify(f: Callable, window: int) -> dict:
+    """The four rows of f in any arity around its semimultiplicative report
+    semi, from the checkers of f's arity. The quasimultiplicative and
+    multiplicative rows are read off f(unit) and semi (_coprime_row). A
+    consistent semi's factor system goes, in one variable, on the Selberg
+    row, there semi's own; with an arity, on semi, and check_selberg_u
+    decides the row."""
+    tuples = hasattr(f, "arity")
+    semi = (check_semimultiplicative_u if tuples else check_semimultiplicative)(f, window)
+    quasi, mult = (_coprime_row(k, f, window, semi) for k in (QUASIMULTIPLICATIVE, MULTIPLICATIVE))
+    extract = extract_selberg_u if tuples else extract_selberg
     fac = extract(f, window, report=semi) if semi.verdict == CONSISTENT else None
-    if check_selberg is None:
-        selberg = replace(semi, klass=SELBERG, selberg=fac)
+    if tuples:
+        semi.factorization, selberg = fac, check_selberg_u(f, window)
     else:
-        semi.factorization, selberg = fac, check_selberg(f, window)
+        selberg = replace(semi, klass=SELBERG, selberg=fac)
     return {MULTIPLICATIVE: mult, QUASIMULTIPLICATIVE: quasi,
             SEMIMULTIPLICATIVE: semi, SELBERG: selberg}
 
@@ -652,4 +865,10 @@ def classify_all(f: ArithFn, window: int) -> dict[str, ClassReport]:
     """All four class checks for one function (_classify): the selberg row
     is the semimultiplicative one, with its factor system when consistent."""
     _require_window(f, window, False, "classify_all_u")
-    return _classify(f, window, check_semimultiplicative(f, window), (LAW_QUASI, LAW_MULT))
+    return _classify(f, window)
+
+
+def classify_all_u(f: Callable, window: int) -> dict[str, ClassReport]:
+    """All four multivariable class checks for one function (_classify)."""
+    _require_window(f, window, True, "classify_all")
+    return _classify(f, window)

@@ -28,6 +28,7 @@ from multclass.classes import (
     SELBERG,
     SEMIMULTIPLICATIVE,
     ClassReport,
+    _coprime_tuple_pairs,
     _least_support,
     _pmul,
     _report,
@@ -46,7 +47,6 @@ from multclass.classes import (
 from multclass.corpus import corpus
 from multclass.multivar import (
     MultiArithFn,
-    _coprime_tuple_pairs,
     check_multiplicative_u,
     check_quasimultiplicative_u,
     check_selberg_u,

@@ -1,11 +1,15 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multclass import numtheory as nt
 from multclass.arith import (
@@ -17,7 +21,16 @@ from multclass.arith import (
     scale,
     unitary,
 )
-from multclass.cli import SPEC_DEPTH_LIMIT, FnSpecError, parse_fn_spec, run
+from multclass.cli import (
+    _BINARY,
+    _LEAVES,
+    _UNARY,
+    EXPECT_CHOICES,
+    SPEC_DEPTH_LIMIT,
+    FnSpecError,
+    parse_fn_spec,
+    run,
+)
 from multclass.corpus import corpus
 from multclass.multivar import tensor
 from multclass.ramanujan import c_bar_fn, c_fn
@@ -202,6 +215,101 @@ def test_spec_nesting_limit(capsys):
             assert capsys.readouterr().err == (
                 f"error: specs nest at most {SPEC_DEPTH_LIMIT} deep (at position {pos})\n"
             )
+
+
+# specs from the grammar, mostly well formed: every leaf and operator with
+# the parameter it takes, one time in eight with none or a bad one (zero,
+# negative, fractional, not a number, empty), and an unknown name
+_BAD_PARAMS = st.none() | st.sampled_from(["0", "-3", "3/2", "1/0", "x", ""])
+_INTS = st.integers(1, 12).map(str)
+
+
+def _mostly(good, bad, odds=7):
+    """good, odds times in odds + 1, else bad."""
+    return st.sampled_from([good] * odds + [bad]).flatmap(lambda strategy: strategy)
+
+
+def _named(name, good):
+    return _mostly(good, _BAD_PARAMS).map(lambda p: name if p is None else f"{name}:{p}")
+
+
+_LEAF = st.sampled_from([*_LEAVES, "nosuch"]).flatmap(
+    lambda name: _named(name, _INTS if _LEAVES.get(name, (None, None))[1] else st.none())
+)
+
+
+def _apply(inner):
+    unary = st.builds(
+        lambda op, x: f"{op}({x})",
+        st.sampled_from(_UNARY).flatmap(lambda op: _named(op, st.sampled_from(
+            ["2", "-3", "3/2", "-2/3"]) if op == "scale" else _INTS)),
+        inner,
+    )
+    binary = st.builds(
+        lambda op, x, y, sep: f"{op}({x},{sep}{y})",
+        st.sampled_from(_BINARY), inner, inner, st.sampled_from(["", " "]),
+    )
+    return unary | binary
+
+
+# a chain of one wrapper around a leaf, from just inside the nesting limit to past it
+_DEEP = st.builds(
+    lambda depth, wrap, leaf: wrap * depth + leaf + ")" * depth,
+    st.integers(SPEC_DEPTH_LIMIT - 2, SPEC_DEPTH_LIMIT + 2),
+    st.sampled_from(["scale:2(", "gcdk:6(", "dilate:2(", "dirichlet(one,", "unitary(mobius,",
+                     "product(c:4,", "tensor(one,", "dirichlet(tensor(one,one),"]),
+    _LEAF,
+)
+_SPECS = _mostly(st.recursive(_LEAF, _apply, max_leaves=6), _DEEP, odds=3)
+_RANGES = st.one_of(
+    st.builds(lambda lo, hi: f"{lo}..{hi}", st.integers(0, 32), st.integers(0, 32)),
+    st.integers(0, 32).map(str),
+    st.sampled_from(["", "..", "a..3", "3.."]),
+)
+
+
+def _flags(draw, *names):
+    """Each named flag or not, then --json and --no-timing or not."""
+    argv = []
+    for name in names:
+        value = draw(st.none() | st.integers(-1, 12))
+        argv += [] if value is None else [name, str(value)]
+    return argv + [flag for flag in ("--json", "--no-timing") if draw(st.booleans())]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(["eval", "classify", "verify"]))
+    if command == "verify":
+        from multclass.suites import SUITES
+
+        suite = draw(st.sampled_from([*SUITES, "bogus"]))
+        return ["verify", "--suite", suite, "--window", str(draw(st.integers(-1, 8)))] + _flags(draw)
+    spec = draw(_SPECS)
+    if command == "eval":
+        return ["eval", "--fn", spec, "--n", draw(_RANGES)] + _flags(draw, "--r", "--k")
+    tuples = any(name in spec for name in ("tensor", "two-var", "selberg-not-semi"))
+    window = draw(st.integers(-1, 8 if tuples else 24))
+    argv = ["classify", "--fn", spec, "--window", str(window)] + _flags(draw, "--r", "--k")
+    expect = _mostly(st.sampled_from(EXPECT_CHOICES), st.just("bogus"))
+    for expected in draw(st.lists(expect, max_size=2)):
+        argv += ["--expect", expected]
+    arity = draw(st.none() | st.integers(0, 3))
+    return argv + ([] if arity is None else ["--arity", str(arity)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_argvs())
+def test_no_arguments_end_in_a_traceback(argv):
+    # 0 pass, 1 failed expectation or suite, 2 usage error; never a traceback
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            rc = run(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            rc = exc.code
+    assert rc in (0, 1, 2), (argv, rc)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_sieve_bound_refusal_exits_two(capsys):
